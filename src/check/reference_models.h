@@ -15,7 +15,7 @@
 //
 // LegacyScalarLink / LegacyScalarSendPath are the per-packet send path as it
 // stood before the PacketBatch redesign (PR 9): one stamp, one verdict, one
-// link clock-in per Network::send() call. The batch path must reproduce
+// link clock-in per scalar send call. The batch path must reproduce
 // their delivery times and order bit-for-bit; the differential suite drives
 // identical traffic through both and compares (pkt_id, deliver_at) streams.
 //
@@ -217,7 +217,7 @@ class LegacyFlowStateTable {
 // redesign, decoupled from the Simulator: the caller supplies `now`. One
 // call = one packet, same virtual-queue admission, serialization,
 // propagation, jitter draw, and FIFO monotonicity as the old
-// Link::transmit(Packet, PacketSink&).
+// by-value Link::transmit overload.
 INBAND_SHARD_LOCAL(shard)
 class LegacyScalarLink {
  public:
@@ -273,7 +273,7 @@ class LegacyScalarLink {
   std::uint64_t drops_ = 0;
 };
 
-// The old Network::send() applied to one directed link: stamp a fresh
+// The old scalar network send applied to one directed link: stamp a fresh
 // pkt_id, apply the scalar interceptor verdict (drop / duplicate_hold /
 // hold), clock the survivors into the link one at a time. Held packets sit
 // in an internal (release-time, seq) min-heap that mirrors the simulator's
@@ -293,7 +293,7 @@ class LegacyScalarSendPath {
 
   LegacyScalarLink& link() { return link_; }
 
-  // Replays one Network::send() call at time `now`. Returns what
+  // Replays one scalar send call at time `now`. Returns what
   // dispatch() returned pre-batch: false only on a link queue drop of the
   // original packet.
   bool send(SimTime now, std::uint64_t wire_bytes,

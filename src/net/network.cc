@@ -69,14 +69,13 @@ bool Network::dispatch(Link& link, Host& dst, PacketRef pkt,
 }
 
 std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
-  if (batch.empty()) return 0;
+  const std::uint32_t n = batch.size();
+  if (n == 0) return 0;
   const auto lit = links_.find(key(from, to));
-  if (lit == links_.end()) return remote_send_batch(from, to, batch);
-  const auto hit = hosts_.find(to);
-  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
+  const bool remote = lit == links_.end();
+  INBAND_ASSERT(!remote || remote_ != nullptr, "sending over a missing link");
 
   const SimTime now = sim_.now();
-  const std::uint32_t n = batch.size();
   for (std::uint32_t i = 0; i < n; ++i) {
     Packet& p = *batch[i];
     p.pkt_id = next_pkt_id_++;
@@ -88,81 +87,35 @@ std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
   batch_packets_ += n;
   if (n > max_batch_) max_batch_ = n;
 
-  BatchVerdict verdicts;
+  if (remote) {
+    // The destination lives on another shard: the egress copies what it
+    // needs and the local refs recycle here. The fault interceptor is
+    // skipped by design (see RemoteEgress).
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const bool taken = remote_->forward(*batch[i], from, to);
+      INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
+    }
+    remote_packets_ += n;
+    batch.clear();
+    return n;
+  }
+
+  const auto hit = hosts_.find(to);
+  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
+  // Verdicts default to pass-through. Only the slots this batch uses are
+  // reset, so a single send pays for one slot, not kCapacity.
+  for (std::uint32_t i = 0; i < n; ++i) verdicts_.v[i] = SendVerdict{};
   if (interceptor_ != nullptr) {
-    interceptor_->on_send_batch(batch, from, to, verdicts);
+    interceptor_->on_send_batch(batch, from, to, verdicts_);
   }
   std::uint32_t accepted = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (dispatch(*lit->second, *hit->second, batch.take(i), verdicts.v[i])) {
+    if (dispatch(*lit->second, *hit->second, batch.take(i), verdicts_.v[i])) {
       ++accepted;
     }
   }
   batch.clear();
   return accepted;
-}
-
-bool Network::send(Ipv4 from, Ipv4 to, PacketRef pkt) {
-  const auto lit = links_.find(key(from, to));
-  if (lit == links_.end()) return remote_send(from, to, std::move(pkt));
-  const auto hit = hosts_.find(to);
-  INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
-
-  Packet& p = *pkt;
-  p.pkt_id = next_pkt_id_++;
-  p.sent_at = sim_.now();
-  if (observer_ != nullptr) observer_->on_packet(p, from, to);
-
-  ++packets_sent_;
-  SendVerdict verdict;
-  if (interceptor_ != nullptr) verdict = interceptor_->on_send(p, from, to);
-  return dispatch(*lit->second, *hit->second, std::move(pkt), verdict);
-}
-
-bool Network::send(Ipv4 from, Ipv4 to, Packet pkt) {
-  PacketRef ref = pool_.acquire();
-  *ref = std::move(pkt);
-  return send(from, to, std::move(ref));
-}
-
-// No (from, to) link: either the destination lives on another shard and the
-// egress takes the packet, or it is the old programming error. Stamping and
-// observation match the local paths so a packet's lifecycle is identical on
-// both sides of the boundary; the fault interceptor is skipped by design
-// (see RemoteEgress). The local refs recycle here — the egress copied.
-std::uint32_t Network::remote_send_batch(Ipv4 from, Ipv4 to,
-                                         PacketBatch& batch) {
-  INBAND_ASSERT(remote_ != nullptr, "sending over a missing link");
-  const SimTime now = sim_.now();
-  const std::uint32_t n = batch.size();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Packet& p = *batch[i];
-    p.pkt_id = next_pkt_id_++;
-    p.sent_at = now;
-    if (observer_ != nullptr) observer_->on_packet(p, from, to);
-    const bool taken = remote_->forward(p, from, to);
-    INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
-  }
-  packets_sent_ += n;
-  ++batches_;
-  batch_packets_ += n;
-  if (n > max_batch_) max_batch_ = n;
-  remote_packets_ += n;
-  batch.clear();
-  return n;
-}
-
-bool Network::remote_send(Ipv4 from, Ipv4 to, PacketRef pkt) {
-  INBAND_ASSERT(remote_ != nullptr, "sending over a missing link");
-  Packet& p = *pkt;
-  p.pkt_id = next_pkt_id_++;
-  p.sent_at = sim_.now();
-  if (observer_ != nullptr) observer_->on_packet(p, from, to);
-  ++packets_sent_;
-  ++remote_packets_;
-  const bool taken = remote_->forward(p, from, to);
-  INBAND_ASSERT(taken, "sending over a missing link (egress refused)");
-  return true;
 }
 
 void Network::transmit_held(Link& link, Host& dst, PacketRef pkt,

@@ -1,7 +1,7 @@
 // Network fabric: hosts wired together by directed point-to-point links.
 //
-// Routing is a single hop: send(from, to, pkt) looks up the (from, to) link
-// and delivers to the host attached at `to`. The delivery address is
+// Routing is a single hop: send_batch(from, to, batch) looks up the (from,
+// to) link and delivers to the host attached at `to`. The delivery address is
 // deliberately independent of the packet's flow key — that is how an L4 LB
 // forwards a client→VIP packet to a chosen backend without rewriting the
 // flow (the server accepts traffic for the VIP, as under real direct server
@@ -12,8 +12,8 @@
 // buffers (Network owns the PacketPool) and hand the whole batch to
 // send_batch(), which stamps, observes, intercepts, and clocks every element
 // with one virtual dispatch per layer instead of one per packet — BESS's
-// ProcessBatch module model applied to the sim/net boundary. The scalar
-// send() forms remain for control-plane and legacy callers.
+// ProcessBatch module model applied to the sim/net boundary. It is the only
+// way into the fabric: Host::send() and send_to() hand it a batch of one.
 //
 // Topology is fixed after setup; sending over a missing link is a programming
 // error and asserts.
@@ -56,10 +56,10 @@ struct BatchVerdict {
 // after pkt_id/sent_at stamping and the observer, so every layer sees the
 // packet exactly once regardless of its fate.
 //
-// Batch sends consult on_send_batch() — one virtual call per batch. The
-// default unrolls to on_send() element-wise; overriders must decide elements
-// strictly in index order, because decision order is RNG-draw order and
-// therefore part of the reproducibility contract.
+// The network consults on_send_batch() — one virtual call per batch, single
+// sends included. The default unrolls to on_send() element-wise; overriders
+// must decide elements strictly in index order, because decision order is
+// RNG-draw order and therefore part of the reproducibility contract.
 class SendInterceptor {
  public:
   virtual ~SendInterceptor() = default;
@@ -94,12 +94,13 @@ class RemoteEgress {
 };
 
 // One-stop counters for the fabric: send/drop totals, batch shape, and the
-// packet pool's occupancy statistics.
+// packet pool's occupancy statistics. Every send is a batch (a single send is
+// a batch of one), so batch_packets == packets_sent.
 struct NetStats {
   std::uint64_t packets_sent = 0;
   std::uint64_t packets_dropped = 0;  // queue (admission) drops
-  std::uint64_t batches = 0;          // send_batch() calls
-  std::uint64_t batch_packets = 0;    // packets that arrived via send_batch()
+  std::uint64_t batches = 0;          // non-empty send_batch() calls
+  std::uint64_t batch_packets = 0;    // packets in those batches
   std::uint64_t max_batch = 0;        // largest batch seen
   std::uint64_t remote_packets = 0;   // handed to the remote egress
   PacketPool::Stats pool;
@@ -134,16 +135,13 @@ class Network {
   Link& link(Ipv4 from, Ipv4 to);
   bool has_link(Ipv4 from, Ipv4 to) const;
 
-  // Stamps pkt_id / sent_at on every element, runs the observer and the
-  // interceptor (one on_send_batch call), and clocks the survivors onto the
-  // (from, to) link in index order. Consumes the batch (empty on return).
+  // The fabric's only entry point. Stamps pkt_id / sent_at on every element,
+  // runs the observer, and counts the batch; then either runs the
+  // interceptor (one on_send_batch call) and clocks the survivors onto the
+  // (from, to) link in index order, or, with no such link, hands every
+  // element to the remote egress. Consumes the batch (empty on return).
   // Returns the number of packets not dropped at the queue.
   INBAND_HOT std::uint32_t send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch);
-
-  // Scalar forms: stamp and transmit one packet. Return false on queue drop.
-  // The by-value overload copies into a pooled slot first.
-  INBAND_HOT bool send(Ipv4 from, Ipv4 to, PacketRef pkt);
-  bool send(Ipv4 from, Ipv4 to, Packet pkt);
 
   // Installs (or clears, with nullptr) the passive observer. Borrowed: it
   // must outlive the network or be cleared first.
@@ -191,10 +189,6 @@ class Network {
   // Transmits `pkt` on `link` toward `dst` after `hold` of simulated time.
   void transmit_held(Link& link, Host& dst, PacketRef pkt, SimTime hold);
 
-  // Stamp-and-egress paths for destinations with no local link.
-  std::uint32_t remote_send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch);
-  bool remote_send(Ipv4 from, Ipv4 to, PacketRef pkt);
-
   Simulator& sim_;
   PacketPool pool_;
   std::unordered_map<Ipv4, Host*> hosts_;
@@ -202,6 +196,9 @@ class Network {
   PacketObserver* observer_ = nullptr;
   SendInterceptor* interceptor_ = nullptr;
   RemoteEgress* remote_ = nullptr;
+  // send_batch()'s verdict scratch. Nothing it calls sends, so one buffer
+  // serves every call.
+  BatchVerdict verdicts_;
   std::uint64_t next_pkt_id_ = 1;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t packets_dropped_ = 0;
@@ -211,11 +208,11 @@ class Network {
   std::uint64_t remote_packets_ = 0;
 };
 
-// A node attached to the network. Subclasses implement handle_batch() (or
-// legacy handle_packet()); outbound traffic goes through send() / send_to() /
-// send_batch(). A mixin, not an entity: a Host instance lives in whatever
-// domain its derived class does (TcpHost and KvServer in `shard`,
-// LoadBalancer in `lb`), hence `owner`.
+// A node attached to the network. Subclasses implement handle_batch();
+// outbound traffic goes through send() / send_to() / send_batch(). A mixin,
+// not an entity: a Host instance lives in whatever domain its derived class
+// does (TcpHost and KvServer in `shard`, LoadBalancer in `lb`), hence
+// `owner`.
 INBAND_SHARD_LOCAL(owner)
 class Host : public PacketSink {
  public:
@@ -227,22 +224,19 @@ class Host : public PacketSink {
   Simulator& sim() { return sim_; }
   Network& network() { return net_; }
 
-  // Sends toward the packet's flow destination (the normal endpoint case).
+  // Sends one packet toward its flow destination (the normal endpoint case).
+  // Returns false on a queue drop.
   INBAND_HOT bool send(PacketRef pkt) {
     const Ipv4 to = pkt->flow.dst.addr;
-    return net_.send(addr_, to, std::move(pkt));
-  }
-  bool send(Packet pkt) {
-    return net_.send(addr_, pkt.flow.dst.addr, std::move(pkt));
+    return send_to(to, std::move(pkt));
   }
 
-  // Sends toward an explicit next hop regardless of the flow key (the LB
-  // forwarding case).
+  // Sends one packet toward an explicit next hop regardless of the flow key
+  // (the LB forwarding case): a batch of one through Network::send_batch.
   INBAND_HOT bool send_to(Ipv4 to, PacketRef pkt) {
-    return net_.send(addr_, to, std::move(pkt));
-  }
-  bool send_to(Ipv4 to, Packet pkt) {
-    return net_.send(addr_, to, std::move(pkt));
+    PacketBatch batch;
+    batch.push(std::move(pkt));
+    return net_.send_batch(addr_, to, batch) == 1;
   }
 
   // Sends a whole batch toward one next hop; see Network::send_batch.

@@ -174,7 +174,7 @@ struct Packet {
   // Application message boundaries inside this segment (sender-ordered).
   MsgList msgs;
 
-  // Bookkeeping stamped by Network::send().
+  // Bookkeeping stamped by Network::send_batch().
   std::uint64_t pkt_id = 0;
   SimTime sent_at = kNoTime;
 

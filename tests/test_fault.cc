@@ -13,10 +13,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "check/invariant_auditor.h"
+#include "check/state_digest.h"
 #include "core/controller_zoo.h"
 #include "fault/fault_layer.h"
 #include "fault/fault_plan.h"
@@ -36,8 +38,10 @@ constexpr Ipv4 kDst = make_ipv4(10, 2, 0, 1);
 class CaptureHost final : public Host {
  public:
   using Host::Host;
-  void handle_packet(Packet pkt) override {
-    arrivals.push_back({sim().now(), pkt.pkt_id});
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      arrivals.push_back({sim().now(), batch[i]->pkt_id});
+    }
   }
   std::vector<std::pair<SimTime, std::uint64_t>> arrivals;
 };
@@ -53,10 +57,10 @@ struct FaultedWire {
   void send_spaced(int count, SimTime send_every) {
     for (int i = 0; i < count; ++i) {
       sim.schedule_at(i * send_every, [this] {
-        Packet p;
-        p.flow = {{kSrc, 1111}, {kDst, 80}, IpProto::kTcp};
-        p.payload_len = 100;
-        net.send(kSrc, kDst, std::move(p));
+        PacketRef p = net.pool().acquire();
+        p->flow = {{kSrc, 1111}, {kDst, 80}, IpProto::kTcp};
+        p->payload_len = 100;
+        src.send(std::move(p));
       });
     }
     sim.run();
@@ -211,6 +215,64 @@ TEST(FaultLayerMechanism, SameSeedSameSchedule) {
   FaultedWire c{std::move(reseeded)};
   c.send_spaced(300, us(10));
   EXPECT_NE(a.dst.arrivals, c.dst.arrivals);
+}
+
+// The network only calls on_send_batch(), but on_send() stays public (the
+// traced benchmark's interceptor forwards to it). Fed identical packets, a
+// layer driven one packet at a time and one driven in batches of 1–32 must
+// reach the same verdicts, counters and state.
+TEST(FaultLayerMechanism, OnSendMatchesOnSendBatch) {
+  const FaultPlan plan = make_noise_plan(0.05, 0.05, 0.02, us(50));
+  FaultedWire scalar{plan};
+  FaultedWire batched{plan};
+  std::vector<SendVerdict> scalar_verdicts;
+  std::vector<SendVerdict> batched_verdicts;
+  std::uint64_t next_id = 1;
+  for (std::uint32_t round = 0; round < 3 * PacketBatch::kCapacity; ++round) {
+    const SimTime t = static_cast<SimTime>(round) * us(37);
+    scalar.sim.run_until(t);
+    batched.sim.run_until(t);
+    const std::uint32_t n = 1 + round % PacketBatch::kCapacity;
+    PacketBatch batch;
+    for (std::uint32_t j = 0; j < n; ++j) {
+      PacketRef p = batched.net.pool().acquire();
+      p->flow = {{kSrc, 1111}, {kDst, 80}, IpProto::kTcp};
+      p->payload_len = 100 + j;
+      p->pkt_id = next_id++;
+      scalar_verdicts.push_back(scalar.layer.on_send(*p, kSrc, kDst));
+      batch.push(std::move(p));
+    }
+    BatchVerdict out;
+    batched.layer.on_send_batch(batch, kSrc, kDst, out);
+    batched_verdicts.insert(batched_verdicts.end(), out.v, out.v + n);
+  }
+
+  ASSERT_EQ(scalar_verdicts.size(), batched_verdicts.size());
+  for (std::size_t i = 0; i < scalar_verdicts.size(); ++i) {
+    EXPECT_EQ(scalar_verdicts[i].drop, batched_verdicts[i].drop) << i;
+    EXPECT_EQ(scalar_verdicts[i].hold, batched_verdicts[i].hold) << i;
+    EXPECT_EQ(scalar_verdicts[i].duplicate_hold,
+              batched_verdicts[i].duplicate_hold)
+        << i;
+  }
+  auto counters = [](const FaultLayer& layer) {
+    std::vector<std::pair<std::string, std::uint64_t>> out;
+    for (const auto& [name, value] : layer.counters().snapshot()) {
+      out.emplace_back(name, value);
+    }
+    return out;
+  };
+  EXPECT_EQ(counters(scalar.layer), counters(batched.layer));
+  // Every fault kind in the plan fired, so the comparison is not vacuous.
+  for (const char* name : {"fault.loss", "fault.reorders", "fault.duplicates",
+                           "fault.jittered"}) {
+    EXPECT_GT(batched.layer.counters().value(name), 0u) << name;
+  }
+  StateDigest scalar_digest;
+  scalar.layer.digest_state(scalar_digest);
+  StateDigest batched_digest;
+  batched.layer.digest_state(batched_digest);
+  EXPECT_EQ(scalar_digest.value(), batched_digest.value());
 }
 
 // --- link flaps ---

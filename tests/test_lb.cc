@@ -277,7 +277,11 @@ TEST(Policies, StaticMaglevConsistent) {
 
 struct RecordingHost final : Host {
   using Host::Host;
-  void handle_packet(Packet pkt) override { received.push_back(std::move(pkt)); }
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      received.push_back(*batch[i]);
+    }
+  }
   std::vector<Packet> received;
 };
 
@@ -300,10 +304,10 @@ struct LbRig {
   }
 
   void send(const FlowKey& f, std::uint8_t flags = 0) {
-    Packet p;
-    p.flow = f;
-    p.flags = flags;
-    client->send(p);
+    PacketRef p = net.pool().acquire();
+    p->flow = f;
+    p->flags = flags;
+    client->send(std::move(p));
     sim.run();
   }
 
@@ -359,9 +363,9 @@ TEST(LoadBalancer, DsrMeansLbNeverSeesResponses) {
   // Backend replies directly to the client (needs a link, not via LB).
   rig.net.add_link(rig.backends[0]->addr(), rig.client->addr(), {});
   rig.send(vip_flow(1000), tcpflag::kSyn);
-  Packet resp;
-  resp.flow = vip_flow(1000).reversed();
-  rig.backends[0]->send(resp);
+  PacketRef resp = rig.net.pool().acquire();
+  resp->flow = vip_flow(1000).reversed();
+  rig.backends[0]->send(std::move(resp));
   rig.sim.run();
   ASSERT_EQ(rig.client->received.size(), 1u);
   // The LB forwarded exactly one packet (the request) and saw nothing else.
@@ -606,14 +610,14 @@ TEST(LoadBalancer, SynFloodBoundsAllState) {
   LbRig rig{2, std::make_unique<RoundRobinPolicy>(make_pool(2)), ct};
   // 10k distinct spoofed flows, SYN only, no follow-up.
   for (std::uint32_t i = 0; i < 10'000; ++i) {
-    Packet p;
-    p.flow = {{make_ipv4(10, 0, 0, 1),
-               static_cast<std::uint16_t>(1 + i % 60'000)},
-              {make_ipv4(10, 1, 0, 1),
-               static_cast<std::uint16_t>(80 + i / 60'000)},
-              IpProto::kTcp};
-    p.flags = tcpflag::kSyn;
-    rig.client->send(p);
+    PacketRef p = rig.net.pool().acquire();
+    p->flow = {{make_ipv4(10, 0, 0, 1),
+                static_cast<std::uint16_t>(1 + i % 60'000)},
+               {make_ipv4(10, 1, 0, 1),
+                static_cast<std::uint16_t>(80 + i / 60'000)},
+               IpProto::kTcp};
+    p->flags = tcpflag::kSyn;
+    rig.client->send(std::move(p));
   }
   rig.sim.run();
   EXPECT_LE(rig.lb->conntrack().size(), 256u);

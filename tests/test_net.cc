@@ -85,9 +85,20 @@ TEST(Packet, Format) {
   EXPECT_NE(s.find("[S]"), std::string::npos);
 }
 
+// Copies `p` into a fresh slot of `pool`: the fabric moves only pooled refs.
+PacketRef pooled(PacketPool& pool, const Packet& p) {
+  PacketRef ref = pool.acquire();
+  *ref = p;
+  return ref;
+}
+
 class CollectingSink : public PacketSink {
  public:
-  void handle_packet(Packet pkt) override { packets.push_back(std::move(pkt)); }
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      packets.push_back(*batch[i]);
+    }
+  }
   std::vector<Packet> packets;
 };
 
@@ -102,10 +113,11 @@ TEST(Link, SerializationDelayScalesWithSize) {
 TEST(Link, DeliveryTimeIncludesPropAndSerialization) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0}};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 948;  // wire = 1000 bytes -> 8us serialization
-  ASSERT_TRUE(link.transmit(p, sink));
+  ASSERT_TRUE(link.transmit(pooled(pool, p), sink));
   sim.run();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sim.now(), us(18));
@@ -114,11 +126,12 @@ TEST(Link, DeliveryTimeIncludesPropAndSerialization) {
 TEST(Link, BackToBackPacketsQueueBehindEachOther) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 948;  // 8us each
-  link.transmit(p, sink);
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), us(16));  // second waits for the first
   EXPECT_EQ(sink.packets.size(), 2u);
@@ -127,11 +140,12 @@ TEST(Link, BackToBackPacketsQueueBehindEachOther) {
 TEST(Link, ExtraDelayAppliesToSubsequentPackets) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
+  PacketPool pool;
   CollectingSink sink;
   link.set_extra_delay(ms(1));
   Packet p;
   p.payload_len = 948;
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), ms(1) + us(8));
 }
@@ -140,12 +154,13 @@ TEST(Link, QueueOverflowDrops) {
   Simulator sim;
   // Queue of 2000 bytes at 1 Gb/s = 16us of backlog allowed.
   Link link{sim, {1'000'000'000, 0, 2000}};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 948;  // 8us serialization each
   int accepted = 0;
   for (int i = 0; i < 10; ++i) {
-    if (link.transmit(p, sink)) ++accepted;
+    if (link.transmit(pooled(pool, p), sink)) ++accepted;
   }
   EXPECT_LT(accepted, 10);
   EXPECT_EQ(link.drops(), 10u - static_cast<unsigned>(accepted));
@@ -156,10 +171,11 @@ TEST(Link, QueueOverflowDrops) {
 TEST(Link, StatsCount) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 100;
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   EXPECT_EQ(link.tx_packets(), 1u);
   EXPECT_EQ(link.tx_bytes(), p.wire_size());
 }
@@ -167,8 +183,10 @@ TEST(Link, StatsCount) {
 class EchoHost : public Host {
  public:
   using Host::Host;
-  void handle_packet(Packet pkt) override {
-    received.push_back(pkt);
+  void handle_batch(PacketBatch&& batch) override {
+    for (std::uint32_t i = 0; i < batch.size(); ++i) {
+      received.push_back(*batch[i]);
+    }
   }
   std::vector<Packet> received;
 };
@@ -181,7 +199,7 @@ TEST(Network, RoutesByDeliveryAddress) {
   net.add_duplex_link(a.addr(), b.addr(), {1'000'000'000, us(5), 0});
   Packet p;
   p.flow = {{a.addr(), 1}, {b.addr(), 2}, IpProto::kTcp};
-  a.send(p);
+  a.send(pooled(net.pool(), p));
   sim.run();
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_GT(b.received[0].pkt_id, 0u);
@@ -198,7 +216,7 @@ TEST(Network, SendToOverridesFlowDestination) {
   Packet p;
   // Flow says "to b", but we deliver to c — the LB forwarding pattern.
   p.flow = {{a.addr(), 1}, {b.addr(), 2}, IpProto::kTcp};
-  a.send_to(c.addr(), p);
+  a.send_to(c.addr(), pooled(net.pool(), p));
   sim.run();
   EXPECT_EQ(b.received.size(), 0u);
   ASSERT_EQ(c.received.size(), 1u);
@@ -213,8 +231,8 @@ TEST(Network, PacketIdsAreUniqueAndIncreasing) {
   net.add_link(1, 2, {1'000'000'000, 0, 0});
   Packet p;
   p.flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-  a.send(p);
-  a.send(p);
+  a.send(pooled(net.pool(), p));
+  a.send(pooled(net.pool(), p));
   sim.run();
   ASSERT_EQ(b.received.size(), 2u);
   EXPECT_LT(b.received[0].pkt_id, b.received[1].pkt_id);
@@ -229,7 +247,7 @@ TEST(Network, DropCounting) {
   Packet p;
   p.payload_len = 1400;
   p.flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-  for (int i = 0; i < 20; ++i) a.send(p);
+  for (int i = 0; i < 20; ++i) a.send(pooled(net.pool(), p));
   const NetStats stats = net.stats();
   EXPECT_GT(stats.packets_dropped, 0u);
   EXPECT_EQ(stats.packets_sent, 20u);
@@ -256,11 +274,11 @@ TEST(Trace, RecordsAndFilters) {
   TraceRecorder trace{net, /*vantage=*/2};
   Packet p;
   p.flow = {{1, 5}, {2, 6}, IpProto::kTcp};
-  a.send(p);  // 1 -> 2 : vantage sees (arriving at 2)
+  a.send(pooled(net.pool(), p));  // 1 -> 2 : vantage sees (arriving at 2)
   sim.run();
   Packet q;
   q.flow = {{2, 6}, {3, 7}, IpProto::kTcp};
-  b.send(q);  // 2 -> 3 : vantage sees (departing 2)
+  b.send(pooled(net.pool(), q));  // 2 -> 3 : vantage sees (departing 2)
   sim.run();
   EXPECT_EQ(trace.rows().size(), 2u);
 }
@@ -276,7 +294,7 @@ TEST(Trace, SaveLoadRoundTrip) {
   p.flow = {{1, 1000}, {2, 80}, IpProto::kTcp};
   p.seq = 42;
   p.flags = tcpflag::kSyn;
-  a.send(p);
+  a.send(pooled(net.pool(), p));
   sim.run();
 
   const std::string path = testing::TempDir() + "/trace_roundtrip.csv";
@@ -306,12 +324,13 @@ TEST(LinkJitter, AddsDelayButKeepsFifoOrder) {
   Simulator sim;
   LinkParams params{1'000'000'000, us(10), 0, us(20), 1.5, 99};
   Link link{sim, params};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 100;
   for (std::uint32_t i = 0; i < 200; ++i) {
     p.seq = i;  // transmit order marker (no Network to stamp pkt_id)
-    link.transmit(p, sink);
+    link.transmit(pooled(pool, p), sink);
   }
   while (sim.step()) {
   }
@@ -325,13 +344,14 @@ TEST(LinkJitter, AddsDelayButKeepsFifoOrder) {
 TEST(LinkJitter, DelayStatistics) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0, us(20), 1.0, 5}};
+  PacketPool pool;
   CollectingSink sink;
   std::vector<SimTime> deliveries;
   for (int i = 0; i < 200; ++i) {
     sim.run_until(i * ms(1));
     Packet p;
     p.payload_len = 948;  // base delay = 18us
-    link.transmit(p, sink);
+    link.transmit(pooled(pool, p), sink);
     sim.run();  // drain: single delivery event
     deliveries.push_back(sim.now() - i * ms(1));
   }
@@ -354,11 +374,12 @@ TEST(LinkJitter, DeterministicForSameSeed) {
   auto run = [](std::uint64_t seed) {
     Simulator sim;
     Link link{sim, {1'000'000'000, us(10), 0, us(20), 1.2, seed}};
+    PacketPool pool;
     CollectingSink sink;
     Packet p;
     p.payload_len = 50;
     std::vector<SimTime> times;
-    for (int i = 0; i < 50; ++i) link.transmit(p, sink);
+    for (int i = 0; i < 50; ++i) link.transmit(pooled(pool, p), sink);
     while (!sim.stopped() && sim.step()) times.push_back(sim.now());
     return times;
   };
@@ -369,10 +390,11 @@ TEST(LinkJitter, DeterministicForSameSeed) {
 TEST(LinkJitter, ZeroJitterIsExact) {
   Simulator sim;
   Link link{sim, {1'000'000'000, us(10), 0, 0, 0.0, 1}};
+  PacketPool pool;
   CollectingSink sink;
   Packet p;
   p.payload_len = 948;  // 8us serialization
-  link.transmit(p, sink);
+  link.transmit(pooled(pool, p), sink);
   sim.run();
   EXPECT_EQ(sim.now(), us(18));
 }
@@ -452,7 +474,7 @@ class BatchRecordingHost : public Host {
   std::vector<Arrival> arrivals;
 };
 
-// Drives the same interleaved batch/scalar traffic through the new batch
+// Drives the same interleaved batch/single-send traffic through the new batch
 // path (real simulator) and the pre-redesign per-packet oracle, over a
 // jittered, queue-limited link. Delivery times, order, and drop counts must
 // match bit-for-bit — the redesign's core contract.
@@ -486,12 +508,12 @@ TEST(PacketBatchPath, MatchesLegacyScalarTiming) {
     }
     a.send_batch(2, batch);
     if (round % 3 == 0) {
-      // Interleave a scalar send: both forms share the pkt_id counter and
-      // the link FIFO.
-      Packet p;
-      p.flow = flow;
-      p.payload_len = 200;
-      a.send(p);
+      // Interleave a single send: a batch of one on the same pkt_id counter
+      // and link FIFO.
+      PacketRef p = net.pool().acquire();
+      p->flow = flow;
+      p->payload_len = 200;
+      a.send(std::move(p));
       Packet probe;
       probe.payload_len = 200;
       oracle.send(t, probe.wire_size());
@@ -582,28 +604,6 @@ TEST(PacketBatchPath, BatchVerdictsMatchLegacyScalarPath) {
   net.set_interceptor(nullptr);
 }
 
-// A legacy sink that only overrides handle_packet still receives batched
-// traffic through the default unbatching shim.
-TEST(PacketBatchPath, DefaultShimDeliversToScalarSinks) {
-  Simulator sim;
-  Network net{sim};
-  EchoHost a{sim, net, 1, "a"};
-  EchoHost b{sim, net, 2, "b"};  // overrides handle_packet only
-  net.add_link(1, 2, {1'000'000'000, us(5), 0});
-  PacketBatch batch;
-  for (std::uint32_t j = 0; j < 4; ++j) {
-    PacketRef ref = net.pool().acquire();
-    ref->flow = {{1, 1}, {2, 2}, IpProto::kTcp};
-    ref->seq = j;
-    batch.push(std::move(ref));
-  }
-  EXPECT_EQ(a.send_batch(2, batch), 4u);
-  sim.run();
-  ASSERT_EQ(b.received.size(), 4u);
-  for (std::uint32_t j = 0; j < 4; ++j) EXPECT_EQ(b.received[j].seq, j);
-  EXPECT_EQ(net.pool().stats().outstanding, 0u);
-}
-
 TEST(PacketBatchPath, NetStatsTracksBatchesAndPool) {
   Simulator sim;
   Network net{sim};
@@ -619,11 +619,17 @@ TEST(PacketBatchPath, NetStatsTracksBatchesAndPool) {
     }
     a.send_batch(2, batch);
   }
+  // Single sends are batches of one: they land in the same batch counters.
+  for (int k = 0; k < 5; ++k) {
+    PacketRef ref = net.pool().acquire();
+    ref->flow = {{1, 1}, {2, 2}, IpProto::kTcp};
+    EXPECT_TRUE(a.send(std::move(ref)));
+  }
   sim.run();
   const NetStats stats = net.stats();
-  EXPECT_EQ(stats.packets_sent, 12u);
-  EXPECT_EQ(stats.batches, 3u);
-  EXPECT_EQ(stats.batch_packets, 12u);
+  EXPECT_EQ(stats.packets_sent, 17u);
+  EXPECT_EQ(stats.batches, 8u);
+  EXPECT_EQ(stats.batch_packets, stats.packets_sent);
   EXPECT_EQ(stats.max_batch, 7u);
   EXPECT_EQ(stats.pool.outstanding, 0u);
   EXPECT_GE(stats.pool.high_water, 7u);

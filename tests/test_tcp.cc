@@ -276,11 +276,12 @@ TEST(TcpHandshake, SynRetransmitsOnLoss) {
   TcpRig rig{{}, {1'000'000, us(10), 600}};  // 1 Mb/s, 600-byte queue
   rig.b.stack().listen(kPort, [](TcpConnection&) {});
   // Saturate the a->b link queue so the first SYN drops.
-  Packet junk;
-  junk.flow = {{kA, 9}, {kB, 9}, IpProto::kUdp};
-  junk.payload_len = 1400;
-  rig.net.send(kA, kB, junk);
-  rig.net.send(kA, kB, junk);
+  for (int i = 0; i < 2; ++i) {
+    PacketRef junk = rig.net.pool().acquire();
+    junk->flow = {{kA, 9}, {kB, 9}, IpProto::kUdp};
+    junk->payload_len = 1400;
+    rig.a.send(std::move(junk));
+  }
 
   bool established = false;
   auto* client = rig.a.stack().connect({kB, kPort});
@@ -721,7 +722,11 @@ TEST(TcpStack, ListenerSeesVipAddressedFlows) {
   struct Fwd final : Host {
     using Host::Host;
     Ipv4 target = 0;
-    void handle_packet(Packet pkt) override { send_to(target, std::move(pkt)); }
+    void handle_batch(PacketBatch&& batch) override {
+      for (std::uint32_t i = 0; i < batch.size(); ++i) {
+        send_to(target, batch.take(i));
+      }
+    }
   };
   Fwd fwd{sim, net, kVip, "fwd"};
   fwd.target = kB;
@@ -756,11 +761,11 @@ TEST(TcpStack, CountsInitiatedAndAccepted) {
 
 TEST(TcpStack, StrayPacketGetsRst) {
   TcpRig rig;
-  Packet stray;
-  stray.flow = {{kA, 1234}, {kB, kPort}, IpProto::kTcp};
-  stray.flags = tcpflag::kAck;
-  stray.ack = 77;
-  rig.net.send(kA, kB, stray);
+  PacketRef stray = rig.net.pool().acquire();
+  stray->flow = {{kA, 1234}, {kB, kPort}, IpProto::kTcp};
+  stray->flags = tcpflag::kAck;
+  stray->ack = 77;
+  rig.a.send(std::move(stray));
   rig.sim.run_until(ms(1));
   EXPECT_EQ(rig.b.stack().resets_sent(), 1u);
 }
