@@ -336,8 +336,7 @@ void BM_EventQueue_CancelHeavy_Legacy(benchmark::State& state) {
 BENCHMARK(BM_EventQueue_CancelHeavy_Legacy);
 
 // Eviction churn: a full table where every third insert is a new flow, so
-// capacity eviction runs constantly — the lazy min-heap's worst case and the
-// legacy O(n) scan's pathology.
+// capacity eviction runs constantly — the legacy O(n) scan's pathology.
 template <typename Table>
 void flow_table_evict_churn(benchmark::State& state) {
   FlowStateTableConfig cfg;

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -22,6 +21,7 @@
 #include "app/variability.h"
 #include "tcp/stack.h"
 #include "util/hotpath.h"
+#include "util/open_hash_map.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/shard.h"
@@ -87,7 +87,7 @@ class KvServer {
   Rng rng_;
   SharedPool<KvMessage> msg_pool_;  // recycles response objects
   std::vector<std::unique_ptr<VariabilityInjector>> injectors_;
-  std::unordered_map<std::uint64_t, std::uint32_t> store_;  // key -> size
+  OpenHashMap<std::uint64_t, std::uint32_t> store_;  // key -> size
   std::unordered_set<TcpConnection*> open_conns_;
   RingBuffer<Pending> queue_;  // overload FIFO, slots recycled in place
   int busy_workers_ = 0;

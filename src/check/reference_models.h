@@ -188,7 +188,7 @@ class LegacyFlowStateTable {
   };
 
   void evict_stalest() {
-    // The O(n) scan the eviction index replaced; ties on last_seen break on
+    // The O(n) scan the recency list replaced; ties on last_seen break on
     // the flow key so old and new pick the same victim.
     auto victim = map_.end();
     // detlint:allow(unordered-iter): selects the unique minimum by a value-based key; the result is independent of visit order

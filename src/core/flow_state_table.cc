@@ -1,94 +1,119 @@
 #include "core/flow_state_table.h"
 
-#include <algorithm>
-
 #include "check/invariant_auditor.h"
 #include "check/state_digest.h"
 #include "util/assert.h"
+#include "util/hotpath.h"
 #include "util/sorted_view.h"
 
 namespace inband {
 
 FlowStateTable::FlowStateTable(FlowStateTableConfig config)
     : config_{config} {
-  INBAND_ASSERT(config_.max_entries > 0);
+  INBAND_ASSERT(config_.max_entries > 0 && config_.max_entries < kNil);
 }
 
 FlowState& FlowStateTable::get_or_create(const FlowKey& flow, SimTime now) {
-  auto it = map_.find(flow);
-  if (it == map_.end()) {
-    if (map_.size() >= config_.max_entries) evict_stalest();
-    // hotlint:allow(hot-growth): flow admission, bounded by max_entries
-    it = map_.emplace(flow, Entry{}).first;
-    it->second.last_seen = now;
-    push_evict_record(flow, now);
-  } else if (it->second.last_seen != now) {
-    it->second.last_seen = now;
-    push_evict_record(flow, now);
+  INBAND_DCHECK(newest_ == kNil || now >= node(newest_).last_seen,
+                "recency list needs non-decreasing time");
+  if (const auto it = map_.find(flow); it != map_.end()) {
+    const std::uint32_t i = it->second;
+    Node& n = node(i);
+    if (n.last_seen != now) {
+      unlink(i);
+      n.last_seen = now;
+      append(i);
+    }
+    return n.state;
   }
-  return it->second.state;
+  if (map_.size() >= config_.max_entries) evict_stalest();
+  const std::uint32_t i = allocate_node();
+  // hotlint:allow(hot-growth): flow admission, bounded by max_entries
+  map_.emplace(flow, i);
+  Node& n = node(i);
+  n.flow = flow;
+  n.last_seen = now;
+  append(i);
+  return n.state;
 }
 
 void FlowStateTable::erase(const FlowKey& flow) {
-  map_.erase(flow);
-  if (evict_index_.size() > evict_index_limit()) compact_evict_index();
+  if (const auto it = map_.find(flow); it != map_.end()) remove(it->second);
 }
 
-void FlowStateTable::push_evict_record(const FlowKey& flow,
-                                       SimTime last_seen) {
-  // hotlint:allow(hot-growth): capacity retained across compactions (below)
-  evict_index_.push_back({last_seen, flow});
-  std::push_heap(evict_index_.begin(), evict_index_.end(), EvictGreater{});
-  // Refreshes leave the flow's previous record behind as garbage; compact
-  // in place once garbage dominates. The bound keeps the index linear in
-  // the live table and the rebuild amortized O(1) per refresh; clear()
-  // retains capacity, so steady-state churn never touches the allocator.
-  if (evict_index_.size() > evict_index_limit()) compact_evict_index();
-}
-
-void FlowStateTable::compact_evict_index() {
-  evict_index_.clear();
-  // detlint:allow(unordered-iter): refills the heap from all live entries; make_heap orders by value, independent of visit order
-  for (const auto& [flow, entry] : map_) {
-    // hotlint:allow(hot-growth): refill after clear(); capacity retained
-    evict_index_.push_back({entry.last_seen, flow});
+std::uint32_t FlowStateTable::allocate_node() {
+  if (free_ != kNil) {
+    const std::uint32_t i = free_;
+    free_ = node(i).newer;
+    return i;
   }
-  std::make_heap(evict_index_.begin(), evict_index_.end(), EvictGreater{});
+  if ((slab_size_ & (kChunkSize - 1)) == 0) {
+    INBAND_COLD_OK("slab growth: one chunk per kChunkSize admitted flows");
+    chunks_.push_back(std::make_unique<Node[]>(kChunkSize));
+  }
+  return slab_size_++;
+}
+
+void FlowStateTable::append(std::uint32_t i) {
+  Node& n = node(i);
+  n.older = newest_;
+  n.newer = kNil;
+  if (newest_ != kNil) {
+    node(newest_).newer = i;
+  } else {
+    oldest_ = i;
+  }
+  newest_ = i;
+}
+
+void FlowStateTable::unlink(std::uint32_t i) {
+  const Node& n = node(i);
+  if (n.older != kNil) {
+    node(n.older).newer = n.newer;
+  } else {
+    oldest_ = n.newer;
+  }
+  if (n.newer != kNil) {
+    node(n.newer).older = n.older;
+  } else {
+    newest_ = n.older;
+  }
+}
+
+void FlowStateTable::remove(std::uint32_t i) {
+  Node& n = node(i);
+  map_.erase(n.flow);
+  unlink(i);
+  n.state.clear_for_reuse();
+  n.last_seen = kNoTime;
+  n.older = kNil;
+  n.newer = free_;
+  free_ = i;
 }
 
 void FlowStateTable::evict_stalest() {
-  // Ties on last_seen break on the flow key, never on hash-table position,
-  // so the evicted entry is reproducible run to run.
-  while (!evict_index_.empty()) {
-    std::pop_heap(evict_index_.begin(), evict_index_.end(), EvictGreater{});
-    const EvictRecord rec = evict_index_.back();
-    evict_index_.pop_back();
-    auto it = map_.find(rec.flow);
-    // A record is live only while it matches the entry's current last_seen;
-    // anything else is a leftover from a refresh, erase, or expiry.
-    if (it == map_.end() || it->second.last_seen != rec.last_seen) continue;
-    map_.erase(it);
-    ++evictions_;
-    return;
+  // The list runs oldest first, so the stalest entries are the head's
+  // equal-last_seen group. Ties break on the flow key, never on table or
+  // slab position, so the evicted entry is reproducible run to run.
+  INBAND_ASSERT(oldest_ != kNil, "evicting from an empty flow table");
+  const SimTime stalest = node(oldest_).last_seen;
+  std::uint32_t victim = oldest_;
+  for (std::uint32_t i = node(oldest_).newer;
+       i != kNil && node(i).last_seen == stalest; i = node(i).newer) {
+    if (node(i).flow < node(victim).flow) victim = i;
   }
-  // Every live entry's current record is in the index, so running dry means
-  // the table itself is empty and there is nothing to evict.
-  INBAND_ASSERT(map_.empty(), "evict index lost a live entry");
+  remove(victim);
+  ++evictions_;
 }
 
 void FlowStateTable::maybe_sweep(SimTime now) {
   if (now - last_sweep_ < config_.sweep_interval) return;
   last_sweep_ = now;
-  // detlint:allow(unordered-iter): erases the idle subset; expiry is decided per entry, independent of visit order
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (now - it->second.last_seen >= config_.idle_timeout) {
-      it = map_.erase(it);
-      ++expirations_;
-    } else {
-      ++it;
-    }
+  while (oldest_ != kNil &&
+         now - node(oldest_).last_seen >= config_.idle_timeout) {
+    remove(oldest_);
+    ++expirations_;
   }
-  if (evict_index_.size() > evict_index_limit()) compact_evict_index();
 }
 
 void FlowStateTable::audit_invariants(AuditScope& scope,
@@ -97,40 +122,47 @@ void FlowStateTable::audit_invariants(AuditScope& scope,
   scope.check(map_.size() <= config_.max_entries, "capacity-bound",
               "flow state table exceeds max_entries");
   scope.check(last_sweep_ <= now, "sweep-clock-sane");
-  scope.check(evict_index_.size() <= evict_index_limit(),
-              "evict-index-bounded",
-              "eviction index grew past its compaction bound");
-  const auto rec_less = [](const EvictRecord& a, const EvictRecord& b) {
-    if (a.last_seen != b.last_seen) return a.last_seen < b.last_seen;
-    return a.flow < b.flow;
-  };
-  std::vector<EvictRecord> records{evict_index_.begin(), evict_index_.end()};
-  std::sort(records.begin(), records.end(), rec_less);
+  // The recency list must thread exactly the live entries, oldest first.
+  std::size_t listed = 0;
+  std::uint32_t prev = kNil;
+  for (std::uint32_t i = oldest_; i != kNil && listed <= map_.size();
+       i = node(i).newer) {
+    const Node& n = node(i);
+    const auto it = map_.find(n.flow);
+    scope.check(it != map_.end() && it->second == i, "recency-list-live",
+                format_flow(n.flow));
+    scope.check(n.older == prev, "recency-list-linked", format_flow(n.flow));
+    scope.check(prev == kNil || node(prev).last_seen <= n.last_seen,
+                "recency-list-ordered", format_flow(n.flow));
+    prev = i;
+    ++listed;
+  }
+  scope.check(listed == map_.size() && prev == newest_,
+              "recency-list-covers-live",
+              "recency list does not thread every live entry");
   // Sorted snapshot: audit failure messages come out in flow-key order.
   for (const auto* e : sorted_entries(map_)) {
-    const auto& [flow, entry] = *e;
-    scope.check(entry.last_seen != kNoTime && entry.last_seen <= now,
+    const auto& [flow, index] = *e;
+    const Node& n = node(index);
+    scope.check(n.flow == flow, "slab-key-matches", format_flow(flow));
+    scope.check(n.last_seen != kNoTime && n.last_seen <= now,
                 "last-seen-in-past", format_flow(flow));
-    scope.check(std::binary_search(records.begin(), records.end(),
-                                   EvictRecord{entry.last_seen, flow},
-                                   rec_less),
-                "evict-index-covers-live", format_flow(flow));
-    scope.check(entry.state.min_sample == kNoTime ||
-                    entry.state.min_sample >= 0,
+    scope.check(n.state.min_sample == kNoTime || n.state.min_sample >= 0,
                 "floor-nonnegative", format_flow(flow));
-    EnsembleTimeout::audit_state(entry.state.ensemble, expected_k, scope);
+    EnsembleTimeout::audit_state(n.state.ensemble, expected_k, scope);
   }
 }
 
 void FlowStateTable::digest_state(StateDigest& digest) const {
   UnorderedDigest entries;
   // detlint:allow(unordered-iter): per-entry digests fold through the commutative UnorderedDigest combiner
-  for (const auto& [flow, entry] : map_) {
+  for (const auto& [flow, index] : map_) {
+    const Node& n = node(index);
     StateDigest e;
     e.mix(hash_flow(flow));
-    e.mix_i64(entry.last_seen);
-    e.mix_i64(entry.state.min_sample);
-    EnsembleTimeout::digest_state(entry.state.ensemble, e);
+    e.mix_i64(n.last_seen);
+    e.mix_i64(n.state.min_sample);
+    EnsembleTimeout::digest_state(n.state.ensemble, e);
     entries.add(e);
   }
   entries.mix_into(digest);

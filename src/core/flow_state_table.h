@@ -5,14 +5,26 @@
 // the estimator. Entries are created on first packet, refreshed on every
 // packet, dropped when the flow is seen closing, and swept when idle too
 // long; at capacity the stalest entry is evicted.
+//
+// Entries live in an index-stable slab (fixed-size chunks, never moved, so
+// the FlowState& get_or_create() returns stays valid until that flow is
+// erased, expired or evicted). A flat OpenHashMap maps each flow to its
+// slab index, and a doubly linked recency list threads the live entries by
+// index, oldest first. Simulated time never runs backwards, so appending
+// on every refresh keeps the list sorted by last_seen: a refresh is an O(1)
+// unlink/append, a sweep pops expired entries off the head, and eviction
+// scans only the head's equal-last_seen group for the smallest flow key.
+// Freed slab entries go on a free list and keep their estimator vectors'
+// capacity, so a recycled entry re-initializes without allocating.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
 #include "core/ensemble_timeout.h"
 #include "net/flow.h"
+#include "util/open_hash_map.h"
 #include "util/shard.h"
 #include "util/time.h"
 
@@ -40,6 +52,18 @@ struct FlowState {
   SimTime record_floor(SimTime sample) {
     if (min_sample == kNoTime || sample < min_sample) min_sample = sample;
     return sample - min_sample;
+  }
+
+  // Back to a default-constructed FlowState, keeping the capacity of the
+  // estimator's ladder vectors so a recycled entry re-initializes in place.
+  void clear_for_reuse() {
+    auto per_timeout = std::move(ensemble.per_timeout);
+    auto samples = std::move(ensemble.samples);
+    *this = FlowState{};
+    per_timeout.clear();
+    samples.clear();
+    ensemble.per_timeout = std::move(per_timeout);
+    ensemble.samples = std::move(samples);
   }
 };
 
@@ -70,38 +94,38 @@ class FlowStateTable {
   void digest_state(StateDigest& digest) const;
 
  private:
-  struct Entry {
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::uint32_t kChunkBits = 8;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+  struct Node {
+    FlowKey flow;
     FlowState state;
     SimTime last_seen = kNoTime;
+    std::uint32_t older = kNil;  // recency list; unused while free
+    std::uint32_t newer = kNil;  // recency list, or the free-list link
   };
 
-  // Lazy min-heap record over (last_seen, flow). Every refresh pushes a new
-  // record; eviction pops records until one still matches its entry's
-  // current last_seen. Stale records (the flow was refreshed, erased, or
-  // expired since the push) are skipped, which makes evict_stalest()
-  // amortized O(log n) instead of the former O(n) scan — the scan degraded
-  // to O(n²) total under the SYN-flood scenarios that churn the table at
-  // capacity. The victim is identical to the scan's: the live minimum of
-  // (last_seen, flow key).
-  struct EvictRecord {
-    SimTime last_seen;
-    FlowKey flow;
-  };
-  struct EvictGreater {
-    bool operator()(const EvictRecord& a, const EvictRecord& b) const {
-      if (a.last_seen != b.last_seen) return a.last_seen > b.last_seen;
-      return b.flow < a.flow;
-    }
-  };
-
+  Node& node(std::uint32_t i) {
+    return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+  }
+  const Node& node(std::uint32_t i) const {
+    return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
+  }
+  std::uint32_t allocate_node();
+  void append(std::uint32_t i);  // as the newest entry
+  void unlink(std::uint32_t i);
+  // Drops entry `i` from the map and the list and recycles its slab slot.
+  void remove(std::uint32_t i);
   void evict_stalest();
-  void push_evict_record(const FlowKey& flow, SimTime last_seen);
-  void compact_evict_index();
-  std::size_t evict_index_limit() const { return 2 * map_.size() + 64; }
 
   FlowStateTableConfig config_;
-  std::unordered_map<FlowKey, Entry, FlowKeyHash> map_;
-  std::vector<EvictRecord> evict_index_;  // min-heap via EvictGreater
+  OpenHashMap<FlowKey, std::uint32_t> map_;     // flow -> slab index
+  std::vector<std::unique_ptr<Node[]>> chunks_;  // the slab
+  std::uint32_t slab_size_ = 0;  // slots ever handed out (high-water)
+  std::uint32_t free_ = kNil;    // free-list head
+  std::uint32_t oldest_ = kNil;  // recency list head
+  std::uint32_t newest_ = kNil;  // recency list tail
   SimTime last_sweep_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t expirations_ = 0;

@@ -13,13 +13,9 @@ void HandshakeRttEstimator::maybe_sweep(SimTime now) {
   if (now - last_sweep_ < config_.pending_timeout) return;
   last_sweep_ = now;
   // detlint:allow(unordered-iter): erases the timed-out subset; expiry is decided per entry, independent of visit order
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now - it->second >= config_.pending_timeout) {
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  pending_.erase_if([&](const auto& kv) {
+    return now - kv.second >= config_.pending_timeout;
+  });
 }
 
 SimTime HandshakeRttEstimator::on_packet(const Packet& pkt, SimTime now) {

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "net/flow.h"
 #include "net/packet.h"
+#include "util/open_hash_map.h"
 #include "util/shard.h"
 #include "util/time.h"
 
@@ -51,7 +51,7 @@ class HandshakeRttEstimator {
 
   HandshakeRttConfig config_;
   // flow -> time of first SYN.
-  std::unordered_map<FlowKey, SimTime, FlowKeyHash> pending_;
+  OpenHashMap<FlowKey, SimTime> pending_;
   SimTime last_sweep_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t retransmitted_syns_ = 0;

@@ -119,10 +119,10 @@ void FaultLayer::on_send_batch(const PacketBatch& batch, Ipv4 from, Ipv4 to,
 }
 
 SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
-  ++counters_.get("fault.decisions");
+  ++decisions_;
 
   if (link.down_count > 0) {
-    ++counters_.get("fault.flap_drops");
+    ++flap_drops_;
     // hotlint:allow(hot-growth): one id per dropped packet, faults only
     dropped_ids_.insert(pkt.pkt_id);
     record_link_event(FaultEvent::Kind::kFlapDrop, link.ref);
@@ -135,7 +135,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
   for (const LinkFaultSpec* spec : link.specs) {
     if (now < spec->start || now >= spec->end) continue;
     if (spec->loss > 0.0 && link.rng.bernoulli(spec->loss)) {
-      ++counters_.get("fault.loss");
+      ++loss_;
       // hotlint:allow(hot-growth): one id per dropped packet, faults only
       dropped_ids_.insert(pkt.pkt_id);
       record_link_event(FaultEvent::Kind::kLoss, link.ref);
@@ -147,7 +147,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
       // stresses the estimators harder than a back-to-back one.
       verdict.duplicate_hold = static_cast<SimTime>(link.rng.uniform_u64(
           0, static_cast<std::uint64_t>(spec->reorder_hold_max)));
-      ++counters_.get("fault.duplicates");
+      ++duplicates_;
       touched = true;
       record_link_event(FaultEvent::Kind::kDuplicate, link.ref);
     }
@@ -155,7 +155,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
       verdict.hold += static_cast<SimTime>(link.rng.uniform_u64(
           static_cast<std::uint64_t>(spec->reorder_hold_min),
           static_cast<std::uint64_t>(spec->reorder_hold_max)));
-      ++counters_.get("fault.reorders");
+      ++reorders_;
       touched = true;
       record_link_event(FaultEvent::Kind::kReorder, link.ref);
     }
@@ -164,11 +164,11 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
           0, static_cast<std::uint64_t>(spec->jitter_max)));
       if (j > 0) {
         verdict.hold += j;
-        ++counters_.get("fault.jittered");
+        ++jittered_;
       }
     }
   }
-  ++counters_.get("fault.passed");
+  ++passed_;
   // hotlint:allow(hot-growth): one id per faulted-but-forwarded packet
   if (touched) touched_forwarded_ids_.insert(pkt.pkt_id);
   return verdict;

@@ -130,6 +130,14 @@ class FaultLayer final : public SendInterceptor {
   std::vector<FlapState> flaps_;
   std::vector<FaultEvent> events_;
   CounterSet counters_;
+  // decide()'s counters, resolved on first use (see LazyCounter).
+  LazyCounter decisions_{counters_, "fault.decisions"};
+  LazyCounter flap_drops_{counters_, "fault.flap_drops"};
+  LazyCounter loss_{counters_, "fault.loss"};
+  LazyCounter duplicates_{counters_, "fault.duplicates"};
+  LazyCounter reorders_{counters_, "fault.reorders"};
+  LazyCounter jittered_{counters_, "fault.jittered"};
+  LazyCounter passed_{counters_, "fault.passed"};
   // Decision bookkeeping for the "dropped xor delivered" audit. Only faulted
   // packets are tracked, so the sets stay proportional to the fault rate.
   std::unordered_set<std::uint64_t> dropped_ids_;

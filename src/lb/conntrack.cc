@@ -9,7 +9,6 @@ namespace inband {
 
 ConnTracker::ConnTracker(ConntrackConfig config) : config_{config} {
   INBAND_ASSERT(config_.max_entries > 0);
-  map_.reserve(std::min<std::size_t>(config_.max_entries, 1 << 16));
 }
 
 bool ConnTracker::expired(const Entry& e, SimTime now) const {
@@ -81,14 +80,8 @@ void ConnTracker::sweep(SimTime now) {
   if (now - last_sweep_ < config_.sweep_interval) return;
   last_sweep_ = now;
   // detlint:allow(unordered-iter): erases the expired subset; expiry is decided per entry, independent of visit order
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (expired(it->second, now)) {
-      it = map_.erase(it);
-      ++expirations_;
-    } else {
-      ++it;
-    }
-  }
+  expirations_ += map_.erase_if(
+      [&](const auto& kv) { return expired(kv.second, now); });
 }
 
 void ConnTracker::audit_invariants(AuditScope& scope,

@@ -8,11 +8,11 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "lb/backend.h"
 #include "net/flow.h"
+#include "util/open_hash_map.h"
 #include "util/shard.h"
 #include "util/time.h"
 
@@ -80,7 +80,7 @@ class ConnTracker {
   void evict_one(SimTime now);
 
   ConntrackConfig config_;
-  std::unordered_map<FlowKey, Entry, FlowKeyHash> map_;
+  OpenHashMap<FlowKey, Entry> map_;
   SimTime last_sweep_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

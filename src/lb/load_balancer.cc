@@ -32,7 +32,7 @@ void LoadBalancer::handle_batch(PacketBatch&& batch) {
 
 void LoadBalancer::forward(PacketRef pkt) {
   const SimTime now = sim().now();
-  ++counters_.get("lb.packets_in");
+  ++packets_in_;
   conntrack_.sweep(now);
 
   BackendId backend = conntrack_.lookup(pkt->flow, now);
@@ -41,27 +41,27 @@ void LoadBalancer::forward(PacketRef pkt) {
     backend = policy_->pick(pkt->flow, now);
     if (backend == kNoBackend || backend >= pool_.size() ||
         !pool_[backend].healthy) {
-      ++counters_.get("lb.drops_no_backend");
+      ++drops_no_backend_;
       return;
     }
     // hotlint:allow(hot-growth): ConnTracker::insert, not a container op
     conntrack_.insert(pkt->flow, backend, now);
     new_flow = true;
     ++new_flows_per_backend_[backend];
-    ++counters_.get("lb.new_flows");
+    ++new_flows_;
   }
 
   if (pkt->has(tcpflag::kFin) || pkt->has(tcpflag::kRst)) {
     if (conntrack_.mark_closing(pkt->flow, now)) {
       policy_->on_flow_closed(pkt->flow, backend, now);
-      ++counters_.get("lb.flows_closed");
+      ++flows_closed_;
     }
   }
 
   policy_->on_packet(*pkt, backend, now, new_flow);
 
   ++forwarded_per_backend_[backend];
-  ++counters_.get("lb.packets_forwarded");
+  ++packets_forwarded_;
   send_to(pool_[backend].addr, std::move(pkt));
 }
 

@@ -31,6 +31,8 @@ class LoadBalancer : public Host {
   LoadBalancer(Simulator& sim, Network& net, Ipv4 vip, std::string name,
                BackendPool pool, std::unique_ptr<RoutingPolicy> policy,
                ConntrackConfig conntrack_config = {});
+  LoadBalancer(const LoadBalancer&) = delete;
+  LoadBalancer& operator=(const LoadBalancer&) = delete;
 
   // Native batch path: every element is conntracked/policied/forwarded out
   // of its pooled buffer — the LB hop moves handles, never packet bytes.
@@ -67,6 +69,12 @@ class LoadBalancer : public Host {
   std::unique_ptr<RoutingPolicy> policy_;
   ConnTracker conntrack_;
   CounterSet counters_;
+  // forward()'s counters, resolved on first use (see LazyCounter).
+  LazyCounter packets_in_{counters_, "lb.packets_in"};
+  LazyCounter drops_no_backend_{counters_, "lb.drops_no_backend"};
+  LazyCounter new_flows_{counters_, "lb.new_flows"};
+  LazyCounter flows_closed_{counters_, "lb.flows_closed"};
+  LazyCounter packets_forwarded_{counters_, "lb.packets_forwarded"};
   std::vector<std::uint64_t> forwarded_per_backend_;
   std::vector<std::uint64_t> new_flows_per_backend_;
 };

@@ -7,6 +7,7 @@
 #include "check/invariant_auditor.h"
 #include "check/state_digest.h"
 #include "util/assert.h"
+#include "util/hotpath.h"
 
 namespace inband {
 
@@ -64,6 +65,8 @@ void MaglevTable::build(const BackendPool& pool) {
   INBAND_ASSERT(!cands.empty(), "Maglev build with no eligible backends");
 
   std::fill(table_.begin(), table_.end(), kNoBackend);
+  // hotlint:allow(hot-growth): table rebuild runs at control-plane rate
+  owned_.assign(max_backend_id_ + 1, 0);
   std::uint64_t filled = 0;
   // Weighted turn-taking via fractional credits: per round each backend
   // earns weight/max_weight of a turn and claims a slot whenever a full
@@ -83,6 +86,7 @@ void MaglevTable::build(const BackendPool& pool) {
           ++c.next;
         } while (table_[slot] != kNoBackend);
         table_[slot] = c.id;
+        ++owned_[c.id];
         if (++filled == table_size_) return;
       }
     }
@@ -97,39 +101,52 @@ BackendId MaglevTable::lookup_hash(std::uint64_t hash) const {
   return table_[hash % table_size_];
 }
 
+void MaglevTable::assign_slot(std::size_t slot, BackendId id) {
+  const BackendId old = table_[slot];
+  if (old != kNoBackend) --owned_[old];
+  if (id != kNoBackend) {
+    if (id >= owned_.size()) {
+      INBAND_COLD_OK("owner id beyond the built pool: test corruption only");
+      owned_.resize(id + 1, 0);
+    }
+    ++owned_[id];
+  }
+  table_[slot] = id;
+}
+
 std::size_t MaglevTable::slots_owned(BackendId id) const {
-  return static_cast<std::size_t>(
-      std::count(table_.begin(), table_.end(), id));
+  if (id < owned_.size()) return owned_[id];
+  if (id != kNoBackend) return 0;
+  std::size_t owned = 0;
+  for (const std::size_t n : owned_) owned += n;
+  return table_size_ - owned;
 }
 
 std::vector<double> MaglevTable::shares() const {
-  std::vector<double> out(max_backend_id_ + 1, 0.0);
-  for (BackendId id : table_) {
-    if (id == kNoBackend) continue;
-    // hotlint:allow(hot-growth): share snapshot runs at restore-drift rate
-    if (id >= out.size()) out.resize(id + 1, 0.0);
-    out[id] += 1.0;
+  // One entry per id up to the larger of the built pool's top id and the
+  // highest id still owning a slot.
+  std::size_t n = owned_.size();
+  while (n > max_backend_id_ + 1 && owned_[n - 1] == 0) --n;
+  std::vector<double> out(std::max<std::size_t>(n, max_backend_id_ + 1), 0.0);
+  for (std::size_t id = 0; id < n; ++id) {
+    out[id] =
+        static_cast<double>(owned_[id]) / static_cast<double>(table_size_);
   }
-  for (auto& v : out) v /= static_cast<double>(table_size_);
   return out;
 }
 
 std::size_t MaglevTable::shift_slots(BackendId from, double fraction) {
   INBAND_ASSERT(fraction >= 0.0 && fraction <= 1.0);
-  // Receivers: every other backend currently in the table. The scratch
-  // vector is a member so repeated shifts reuse its capacity.
+  // Receivers: every other backend currently in the table, in id order.
+  // The scratch vector is a member so repeated shifts reuse its capacity.
   std::vector<BackendId>& receivers = shift_receivers_;
   receivers.clear();
-  for (BackendId id : table_) {
-    if (id == kNoBackend || id == from) continue;
-    if (std::find(receivers.begin(), receivers.end(), id) ==
-        receivers.end()) {
-      // hotlint:allow(hot-growth): capacity retained across shifts, warms once
-      receivers.push_back(id);
-    }
+  for (std::size_t id = 0; id < owned_.size(); ++id) {
+    if (owned_[id] == 0 || id == from) continue;
+    // hotlint:allow(hot-growth): capacity retained across shifts, warms once
+    receivers.push_back(static_cast<BackendId>(id));
   }
   if (receivers.empty()) return 0;
-  std::sort(receivers.begin(), receivers.end());
 
   auto want = static_cast<std::size_t>(
       fraction * static_cast<double>(table_size_) + 0.999999);
@@ -137,7 +154,7 @@ std::size_t MaglevTable::shift_slots(BackendId from, double fraction) {
   std::size_t rr = 0;
   for (std::uint64_t i = 0; i < table_size_ && moved < want; ++i) {
     if (table_[i] != from) continue;
-    table_[i] = receivers[rr];
+    assign_slot(i, receivers[rr]);
     rr = (rr + 1) % receivers.size();
     ++moved;
   }
@@ -149,7 +166,7 @@ std::size_t MaglevTable::move_slots(BackendId from, BackendId to,
   std::size_t moved = 0;
   for (std::uint64_t i = 0; i < table_size_ && moved < count; ++i) {
     if (table_[i] != from) continue;
-    table_[i] = to;
+    assign_slot(i, to);
     ++moved;
   }
   return moved;
@@ -195,7 +212,7 @@ void MaglevTable::digest_state(StateDigest& digest) const {
 
 void MaglevTable::corrupt_slot_for_test(std::size_t slot, BackendId id) {
   INBAND_ASSERT(slot < table_.size());
-  table_[slot] = id;
+  assign_slot(slot, id);
 }
 
 std::size_t MaglevTable::diff(const MaglevTable& other) const {

@@ -52,8 +52,9 @@ class MaglevTable {
   std::size_t move_slots(BackendId from, BackendId to, std::size_t count);
 
   std::uint64_t table_size() const { return table_size_; }
+  // O(1): read from the per-backend slot counts kept alongside the table.
   std::size_t slots_owned(BackendId id) const;
-  // Fraction of the table owned by each backend id present.
+  // Fraction of the table owned by each backend id present; O(backends).
   std::vector<double> shares() const;
   const std::vector<BackendId>& raw_table() const { return table_; }
 
@@ -74,9 +75,16 @@ class MaglevTable {
   void corrupt_slot_for_test(std::size_t slot, BackendId id);
 
  private:
+  // Points slot `slot` at `id`, keeping owned_ in step.
+  void assign_slot(std::size_t slot, BackendId id);
+
   std::uint64_t table_size_;
   std::uint64_t seed_;
   std::vector<BackendId> table_;
+  // owned_[id]: slots of table_ owned by backend id. Every write to table_
+  // goes through build() or assign_slot(), so shares(), slots_owned() and
+  // the shift receiver list never rescan the table.
+  std::vector<std::size_t> owned_;
   BackendId max_backend_id_ = 0;
   // Receiver scratch for shift_slots(): reused across calls so the periodic
   // α-shift control loop stays off the allocator once warmed.

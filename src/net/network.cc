@@ -102,6 +102,8 @@ std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
 
   const auto hit = hosts_.find(to);
   INBAND_ASSERT(hit != hosts_.end(), "no host attached at destination");
+  Link& link = *lit->second;
+  Host& dst = *hit->second;
   // Verdicts default to pass-through. Only the slots this batch uses are
   // reset, so a single send pays for one slot, not kCapacity.
   for (std::uint32_t i = 0; i < n; ++i) verdicts_.v[i] = SendVerdict{};
@@ -110,7 +112,7 @@ std::uint32_t Network::send_batch(Ipv4 from, Ipv4 to, PacketBatch& batch) {
   }
   std::uint32_t accepted = 0;
   for (std::uint32_t i = 0; i < n; ++i) {
-    if (dispatch(*lit->second, *hit->second, batch.take(i), verdicts_.v[i])) {
+    if (dispatch(link, dst, batch.take(i), verdicts_.v[i])) {
       ++accepted;
     }
   }

@@ -21,13 +21,13 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 #include "net/link.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "sim/simulator.h"
 #include "util/hotpath.h"
+#include "util/open_hash_map.h"
 #include "util/shard.h"
 
 namespace inband {
@@ -191,8 +191,8 @@ class Network {
 
   Simulator& sim_;
   PacketPool pool_;
-  std::unordered_map<Ipv4, Host*> hosts_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Link>> links_;
+  OpenHashMap<Ipv4, Host*> hosts_;
+  OpenHashMap<std::uint64_t, std::unique_ptr<Link>> links_;
   PacketObserver* observer_ = nullptr;
   SendInterceptor* interceptor_ = nullptr;
   RemoteEgress* remote_ = nullptr;

@@ -15,6 +15,7 @@
 
 #include "net/network.h"
 #include "tcp/connection.h"
+#include "util/open_hash_map.h"
 #include "util/rng.h"
 #include "util/shard.h"
 
@@ -78,8 +79,9 @@ class TcpStack {
   Host& host_;
   TcpConfig default_config_;
   Rng rng_;
-  std::unordered_map<FlowKey, std::unique_ptr<TcpConnection>, FlowKeyHash>
-      conns_;
+  // Demux table. Connections sit behind unique_ptr because the table moves
+  // its entries on insert and erase; TcpConnection* handed out stays valid.
+  OpenHashMap<FlowKey, std::unique_ptr<TcpConnection>> conns_;
   std::unordered_map<std::uint16_t, AcceptCallback> listeners_;
   std::uint16_t next_ephemeral_ = 32768;
   std::uint64_t conn_counter_ = 0;

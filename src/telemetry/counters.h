@@ -1,8 +1,9 @@
 // Named monotonic counters.
 //
 // Components register counters by name in a CounterSet owned by the top-level
-// rig; snapshots go into experiment reports. Lookup by name happens once at
-// wiring time — the hot path increments through the returned reference.
+// rig; snapshots go into experiment reports. Lookup by name happens once —
+// at wiring time, or on a LazyCounter's first increment — and the hot path
+// increments through the returned reference.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +42,29 @@ class CounterSet {
   };
   // deque: stable element addresses as counters are added.
   std::deque<Slot> slots_;
+};
+
+// One named counter of a CounterSet, looked up on its first increment and
+// incremented through the cached reference after that. The counter enters
+// the set (and snapshot()) exactly when an inline `++set.get(name)` in the
+// same place would have created it. `name` must outlive the LazyCounter
+// (pass a string literal), and so must the set.
+INBAND_SHARD_LOCAL(owner)
+class LazyCounter {
+ public:
+  LazyCounter(CounterSet& set, std::string_view name)
+      : set_{&set}, name_{name} {}
+
+  LazyCounter& operator++() {
+    if (value_ == nullptr) value_ = &set_->get(name_);
+    ++*value_;
+    return *this;
+  }
+
+ private:
+  CounterSet* set_;
+  std::string_view name_;
+  std::uint64_t* value_ = nullptr;
 };
 
 }  // namespace inband

@@ -20,6 +20,7 @@
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 #include "util/alloc_counter.h"
+#include "util/open_hash_map.h"
 #include "util/time.h"
 
 namespace inband {
@@ -171,6 +172,42 @@ TEST(AllocFree, PacketPoolSteadyStateAcquireRelease) {
   const auto delta = allocs::delta(before, allocs::snapshot());
   EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
   EXPECT_EQ(pool.stats().outstanding, 0u);
+}
+
+// The flat per-packet tables (conntrack, TCP demux, flow state) churn one
+// insert and one erase per connection at a roughly constant live size.
+// Backward-shift deletion leaves no tombstones to clean up, so once the
+// table has grown to fit the live set, churn never touches the allocator —
+// erase_if sweeps included.
+TEST(AllocFree, OpenHashMapChurnAtConstantSize) {
+  SKIP_UNLESS_COUNTING();
+  constexpr std::uint64_t kLive = 1000;
+  OpenHashMap<FlowKey, std::uint64_t> map;
+  const auto key = [](std::uint64_t n) {
+    return FlowKey{{static_cast<Ipv4>(0x0a000000 + (n >> 16)),
+                    static_cast<std::uint16_t>(n)},
+                   {0x0a010001, 11211},
+                   IpProto::kTcp};
+  };
+  std::uint64_t next = 0;
+  const auto churn = [&](std::uint64_t rounds) {
+    for (std::uint64_t i = 0; i < rounds; ++i, ++next) {
+      map.try_emplace(key(next), next);
+      if (next >= kLive) map.erase(key(next - kLive));
+      if (next % 4096 == 0) {
+        // Sweep-style erase_if that drops nothing.
+        map.erase_if([&](const auto& kv) { return kv.second > next; });
+      }
+    }
+  };
+  churn(10 * kLive);  // warm-up: grow to the live set's capacity
+  const std::size_t capacity = map.capacity();
+  const auto before = allocs::snapshot();
+  churn(200000);
+  const auto delta = allocs::delta(before, allocs::snapshot());
+  EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
+  EXPECT_EQ(map.size(), kLive);
+  EXPECT_EQ(map.capacity(), capacity);
 }
 
 // The acceptance bar for the batch redesign: the whole fig-3 rig — clients,

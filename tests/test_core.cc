@@ -381,8 +381,8 @@ TEST(FlowStateTable, CapacityEvictsStalest) {
 }
 
 TEST(FlowStateTable, RefreshedEntrySurvivesEviction) {
-  // The eviction index holds stale records for refreshed entries; they must
-  // be skipped, not treated as the victim.
+  // A refresh moves the entry to the recency list's tail; the victim is
+  // the entry with the oldest last_seen, not the first one created.
   FlowStateTableConfig cfg;
   cfg.max_entries = 2;
   FlowStateTable t{cfg};
@@ -399,9 +399,12 @@ TEST(FlowStateTable, RefreshedEntrySurvivesEviction) {
 }
 
 TEST(FlowStateTable, MatchesLegacyScanOnRandomChurn) {
-  // Differential check against the pre-index O(n)-scan implementation:
-  // identical churn (creates, refreshes, erases, sweeps) at capacity must
-  // leave identical contents, eviction/expiration counters, and digests.
+  // Differential check against the O(n)-scan implementation: identical
+  // churn (creates, refreshes, erases, sweeps) at capacity must leave
+  // identical contents, eviction/expiration counters, and digests. Many
+  // steps share a tick, and evictions come from same-tick bursts (the
+  // SYN-flood shape), so the victim is often decided by the flow-key
+  // tie-break within the recency list's oldest group.
   FlowStateTableConfig cfg;
   cfg.max_entries = 45;
   cfg.idle_timeout = ms(2);
@@ -411,8 +414,12 @@ TEST(FlowStateTable, MatchesLegacyScanOnRandomChurn) {
   Rng rng{20260806};
   SimTime now = 0;
   for (int step = 0; step < 20000; ++step) {
-    now += static_cast<SimTime>(
-        rng.uniform_u64(0, static_cast<std::uint64_t>(us(1))));
+    // Time advances on a third of the steps (by 1.5 us on average); the
+    // other steps share the previous tick.
+    if (rng.uniform_u64(0, 2) == 0) {
+      now += static_cast<SimTime>(
+          rng.uniform_u64(0, static_cast<std::uint64_t>(us(3))));
+    }
     // The active flow range drifts forward so abandoned flows go idle and
     // expire, exercising sweep alongside capacity eviction.
     const auto n = static_cast<std::uint32_t>(
@@ -428,14 +435,20 @@ TEST(FlowStateTable, MatchesLegacyScanOnRandomChurn) {
       neu.erase(flow_n(n));
       old.erase(flow_n(n));
     } else {
-      // Second half only (so idle flows can expire undisturbed first):
-      // one-shot flows push the table over capacity, forcing evict_stalest
-      // in both implementations.
-      const auto burst = static_cast<std::uint32_t>(100000 + step);
-      neu.get_or_create(flow_n(burst), now);
-      old.get_or_create(flow_n(burst), now);
+      // Second half only (so idle flows can expire undisturbed first): a
+      // same-tick burst of one-shot flows pushes the table over capacity,
+      // forcing evict_stalest in both implementations. Keys descend within
+      // a burst, so among tied entries the victim is not the first added.
+      const auto burst = rng.uniform_u64(1, 12);
+      for (std::uint64_t j = 0; j < burst; ++j) {
+        const auto f = static_cast<std::uint32_t>(
+            100000 + static_cast<std::uint64_t>(step) * 16 + (15 - j));
+        neu.get_or_create(flow_n(f), now);
+        old.get_or_create(flow_n(f), now);
+      }
     }
     ASSERT_EQ(neu.size(), old.size()) << "step " << step;
+    ASSERT_EQ(neu.evictions(), old.evictions()) << "step " << step;
     if (step % 500 == 0) {
       StateDigest dn;
       neu.digest_state(dn);

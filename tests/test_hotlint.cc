@@ -255,6 +255,19 @@ struct S {
             std::string::npos);
 }
 
+TEST(HotlintEngine, OpenHashMapBracketCountsAsGrowth) {
+  HotReport r = Analyze(R"(
+#include "util/open_hash_map.h"
+struct S {
+  inband::OpenHashMap<int, int> seen_;
+  INBAND_HOT void mark(int k) { seen_[k] = 1; }
+};
+)");
+  ASSERT_EQ(FindingsFor(r, "hot-growth").size(), 1u);
+  EXPECT_NE(FindingsFor(r, "hot-growth")[0].message.find("seen_"),
+            std::string::npos);
+}
+
 TEST(HotlintEngine, ThrowStringIoAndLocksFlagged) {
   HotReport r = Analyze(R"(
 #include <mutex>

@@ -155,6 +155,65 @@ TEST(Maglev, SingleBackendOwnsAll) {
   EXPECT_EQ(t.shift_slots(0, 0.5), 0u);  // nowhere to shift to
 }
 
+TEST(Maglev, SlotCountsMatchRescanUnderRandomOps) {
+  // slots_owned() and shares() read per-backend counts that build,
+  // shift_slots, move_slots and corrupt_slot_for_test keep up to date.
+  // After every operation they must equal a rescan of the raw table, and
+  // shares() must have the size and the exact doubles the rescan gives.
+  constexpr std::uint64_t kSize = 1009;
+  MaglevTable t{kSize};
+  Rng rng{20261017};
+  std::size_t pool_size = 1;  // max_backend_id + 1 of the last build
+  const auto check = [&](int step) {
+    std::vector<std::size_t> scan(pool_size, 0);
+    std::size_t unowned = 0;
+    for (const BackendId id : t.raw_table()) {
+      if (id == kNoBackend) {
+        ++unowned;
+        continue;
+      }
+      if (id >= scan.size()) scan.resize(id + 1, 0);
+      ++scan[id];
+    }
+    const auto shares = t.shares();
+    ASSERT_EQ(shares.size(), scan.size()) << "step " << step;
+    for (std::size_t id = 0; id < scan.size(); ++id) {
+      ASSERT_EQ(t.slots_owned(static_cast<BackendId>(id)), scan[id])
+          << "step " << step << " id " << id;
+      ASSERT_EQ(shares[id], static_cast<double>(scan[id]) /
+                                static_cast<double>(kSize))
+          << "step " << step << " id " << id;
+    }
+    ASSERT_EQ(t.slots_owned(kNoBackend), unowned) << "step " << step;
+  };
+  check(-1);
+  for (int step = 0; step < 400; ++step) {
+    const auto id = [&] {
+      return static_cast<BackendId>(rng.uniform_u64(0, 9));
+    };
+    const std::uint64_t op = step == 0 ? 0 : rng.uniform_u64(0, 9);
+    if (op == 0) {
+      auto pool = make_pool(static_cast<int>(rng.uniform_u64(2, 8)));
+      for (auto& b : pool) {
+        b.weight = static_cast<std::uint32_t>(rng.uniform_u64(0, 3));
+        b.healthy = rng.bernoulli(0.9);
+      }
+      pool[0].weight = 1;
+      pool[0].healthy = true;
+      t.build(pool);
+      pool_size = pool.size();
+    } else if (op < 5) {
+      t.shift_slots(id(), rng.uniform_double(0.0, 0.3));
+    } else if (op < 9) {
+      t.move_slots(id(), id(), rng.uniform_u64(0, 300));
+    } else {
+      t.corrupt_slot_for_test(rng.uniform_u64(0, kSize - 1),
+                              rng.bernoulli(0.2) ? kNoBackend : id() + 3);
+    }
+    check(step);
+  }
+}
+
 // --- conntrack ---
 
 TEST(Conntrack, InsertLookupHit) {

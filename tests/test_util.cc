@@ -5,14 +5,19 @@
 #include <cstdint>
 #include <deque>
 #include <numeric>
+#include <memory>
 #include <sstream>
+#include <unordered_map>
 
+#include "net/flow.h"
 #include "util/assert.h"
 #include "util/csv.h"
 #include "util/flags.h"
 #include "util/logging.h"
+#include "util/open_hash_map.h"
 #include "util/ring_buffer.h"
 #include "util/rng.h"
+#include "util/sorted_view.h"
 #include "util/time.h"
 
 namespace inband {
@@ -464,6 +469,178 @@ TEST(RingBuffer, RandomizedDifferentialVsDeque) {
     ASSERT_EQ(ring.size(), oracle.size());
   }
   EXPECT_GE(growths, 5u) << "workload never exercised growth";
+}
+
+// --- OpenHashMap ---
+
+// Multiplicative inverse of the table's Fibonacci constant, so a hash of
+// kInvPhi * x lands at home slot x >> shift.
+constexpr std::uint64_t inverse_of_phi() {
+  constexpr std::uint64_t phi = 0x9E3779B97F4A7C15ULL;
+  std::uint64_t inv = phi;  // Newton: each step doubles the correct bits
+  for (int i = 0; i < 6; ++i) inv *= 2 - phi * inv;
+  return inv;
+}
+constexpr std::uint64_t kInvPhi = inverse_of_phi();
+static_assert(kInvPhi * 0x9E3779B97F4A7C15ULL == 1);
+
+// Seven home slots for everything: long shared clusters, so backward-shift
+// deletion constantly moves entries across other keys' runs.
+struct SevenHomesHash {
+  std::uint64_t operator()(std::uint64_t k) const { return k % 7; }
+};
+// Every key homes at the last slot (hash * phi == 2^64 - 1), so the one
+// cluster wraps around the end of the array: the degenerate case for
+// probing, erase and erase_if's walk alike.
+struct WrappingHash {
+  std::uint64_t operator()(std::uint64_t) const { return kInvPhi * ~0ULL; }
+};
+
+// Randomized differential run against std::unordered_map: try_emplace,
+// operator[], find, erase by key and by iterator, and periodic erase_if,
+// over a key range that widens with `step` so the table keeps growing.
+// Contents are compared in full every 997 operations and at the end.
+template <typename Hash>
+void run_differential(int ops, std::uint64_t max_keys, std::uint64_t seed) {
+  Rng rng{seed};
+  OpenHashMap<std::uint64_t, std::uint64_t, Hash> map;
+  std::unordered_map<std::uint64_t, std::uint64_t> ref;
+  const auto same_contents = [&](int step) {
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    const auto got = sorted_entries(map);
+    const auto want = sorted_entries(ref);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i]->first, want[i]->first) << "step " << step;
+      ASSERT_EQ(got[i]->second, want[i]->second) << "step " << step;
+    }
+  };
+  std::size_t growths = 0;
+  for (int step = 0; step < ops; ++step) {
+    const std::uint64_t span =
+        1 + max_keys * static_cast<std::uint64_t>(step) /
+                static_cast<std::uint64_t>(ops);
+    const std::uint64_t key = rng.uniform_u64(0, span);
+    const std::uint64_t roll = rng.uniform_u64(0, 99);
+    const std::size_t cap = map.capacity();
+    if (roll < 35) {
+      const auto [it, inserted] = map.try_emplace(key, step);
+      const auto [rit, rinserted] =
+          ref.try_emplace(key, static_cast<std::uint64_t>(step));
+      ASSERT_EQ(inserted, rinserted) << "step " << step;
+      ASSERT_EQ(it->first, key);
+      ASSERT_EQ(it->second, rit->second) << "step " << step;
+    } else if (roll < 50) {
+      map[key] += 3;
+      ref[key] += 3;
+    } else if (roll < 75) {
+      const auto it = map.find(key);
+      const auto rit = ref.find(key);
+      ASSERT_EQ(it == map.end(), rit == ref.end()) << "step " << step;
+      if (rit != ref.end()) {
+        ASSERT_EQ(it->second, rit->second);
+      }
+    } else if (roll < 87) {
+      ASSERT_EQ(map.erase(key), ref.erase(key)) << "step " << step;
+    } else if (roll < 99) {
+      const auto it = map.find(key);
+      if (it != map.end()) {
+        map.erase(it);
+        ref.erase(key);
+      }
+    } else {
+      // Drops roughly a third; every live entry is offered exactly once.
+      const std::uint64_t m = rng.uniform_u64(0, 2);
+      std::size_t calls = 0;
+      const std::size_t erased = map.erase_if([&](const auto& kv) {
+        ++calls;
+        return (kv.first + kv.second) % 3 == m;
+      });
+      std::size_t ref_erased = 0;
+      for (auto it = ref.begin(); it != ref.end();) {
+        if ((it->first + it->second) % 3 == m) {
+          it = ref.erase(it);
+          ++ref_erased;
+        } else {
+          ++it;
+        }
+      }
+      ASSERT_EQ(erased, ref_erased) << "step " << step;
+      ASSERT_EQ(calls, map.size() + erased) << "step " << step;
+    }
+    ASSERT_EQ(map.size(), ref.size()) << "step " << step;
+    if (map.capacity() != cap) {
+      ++growths;
+      ASSERT_EQ(map.capacity(), cap == 0 ? 8u : 2 * cap);
+      ASSERT_LE(map.size() * 8, map.capacity() * 7);
+    }
+    if (step % 997 == 0) same_contents(step);
+  }
+  same_contents(ops);
+  EXPECT_GE(growths, 4u) << "workload never exercised growth";
+}
+
+TEST(OpenHashMap, RandomizedDifferentialVsUnorderedMap) {
+  run_differential<OpenHash<std::uint64_t>>(100000, 6000, 0x0a5e11);
+}
+
+TEST(OpenHashMap, DifferentialWithSharedHomeSlots) {
+  run_differential<SevenHomesHash>(100000, 400, 0x5e7e11);
+}
+
+TEST(OpenHashMap, DifferentialWithDegenerateWrappingHash) {
+  run_differential<WrappingHash>(30000, 200, 0x3a9);
+}
+
+TEST(OpenHashMap, FlowKeysRoundTrip) {
+  OpenHashMap<FlowKey, int> map;
+  std::vector<FlowKey> keys;
+  for (std::uint16_t port = 1000; port < 3000; ++port) {
+    keys.push_back({{make_ipv4(10, 0, 0, 1), port},
+                    {make_ipv4(10, 9, 9, 9), 80},
+                    IpProto::kTcp});
+    keys.push_back(keys.back().reversed());
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(map.emplace(keys[i], static_cast<int>(i)).second);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const auto it = map.find(keys[i]);
+    ASSERT_NE(it, map.end());
+    EXPECT_EQ(it->second, static_cast<int>(i));
+  }
+  for (std::size_t i = 0; i < keys.size(); i += 2) map.erase(keys[i]);
+  EXPECT_EQ(map.size(), keys.size() / 2);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(map.find(keys[i]) != map.end(), i % 2 == 1);
+  }
+}
+
+// The erased value is destroyed only after the table is consistent again,
+// so a destructor that looks the table up (a connection unregistering
+// itself, say) sees every other entry where it belongs.
+TEST(OpenHashMap, ErasedValueDiesAfterTableIsConsistent) {
+  struct Probe;
+  using Map = OpenHashMap<std::uint64_t, std::unique_ptr<Probe>, WrappingHash>;
+  struct Probe {
+    Map* map;
+    std::uint64_t self;
+    int* found_others;  // null: teardown, check nothing
+    ~Probe() {
+      if (found_others == nullptr) return;
+      for (std::uint64_t k = 0; k < 6; ++k) {
+        if (k != self && map->find(k) != map->end()) ++*found_others;
+      }
+    }
+  };
+  Map map;
+  int found = 0;
+  for (std::uint64_t k = 0; k < 6; ++k) {
+    map.emplace(k, std::unique_ptr<Probe>(new Probe{&map, k, &found}));
+  }
+  map.erase(std::uint64_t{0});
+  EXPECT_EQ(found, 5);
+  EXPECT_EQ(map.size(), 5u);
+  for (auto& [k, probe] : map) probe->found_others = nullptr;
 }
 
 }  // namespace

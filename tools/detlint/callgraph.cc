@@ -26,7 +26,7 @@ const std::set<std::string> kNotFunctionNames = {
 };
 
 const std::set<std::string> kMapLikeContainers = {"map", "unordered_map",
-                                                  "flat_map"};
+                                                  "flat_map", "OpenHashMap"};
 
 // Keywords that disqualify a namespace-scope statement from being a mutable
 // variable declaration.

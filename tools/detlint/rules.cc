@@ -12,9 +12,11 @@
 namespace detlint {
 namespace {
 
+// Hash containers whose iteration order follows insert/erase history:
+// std::unordered_* and the flat OpenHashMap (src/util/open_hash_map.h).
 const std::set<std::string> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
-    "unordered_multiset"};
+    "unordered_multiset", "OpenHashMap"};
 
 // Ordered / sequence container spellings: a local declaration with one of
 // these shadows an imported unordered name of the same spelling (e.g. a
@@ -23,8 +25,11 @@ const std::set<std::string> kOrderedContainers = {
     "map", "set", "multimap", "multiset", "vector",
     "deque", "list", "array", "span", "flat_map", "flat_set"};
 
-const std::set<std::string> kBeginCalls = {"begin", "cbegin", "rbegin",
-                                           "crbegin"};
+// Calls that visit a container's elements in storage order: the begin()
+// family, plus erase_if (member or std::), whose predicate runs per element
+// in that order.
+const std::set<std::string> kVisitCalls = {"begin",  "cbegin",  "rbegin",
+                                           "crbegin", "erase_if"};
 
 // Containers whose pointer-element instantiations make comparator-less
 // sorting a pointer-order hazard.
@@ -338,20 +343,20 @@ class Analyzer {
           }
         }
       }
-      // member.begin()/cbegin()/rbegin() on a tracked container.
+      // member.begin()/cbegin()/rbegin()/erase_if() on a tracked container.
       if (tok(i).kind == TokenKind::kIdent &&
           unordered_names_.count(tok(i).text) > 0 && i + 3 < size() &&
           (is_punct(tok(i + 1), ".") || is_punct(tok(i + 1), "->")) &&
           tok(i + 2).kind == TokenKind::kIdent &&
-          kBeginCalls.count(tok(i + 2).text) > 0 &&
+          kVisitCalls.count(tok(i + 2).text) > 0 &&
           is_punct(tok(i + 3), "(")) {
         add("unordered-iter", tok(i).line,
             "iterator over unordered container '" + tok(i).text + "' via ." +
                 tok(i + 2).text + "()");
       }
-      // std::begin(tracked) / begin(tracked).
+      // std::begin(tracked) / begin(tracked) / std::erase_if(tracked, ...).
       if (tok(i).kind == TokenKind::kIdent &&
-          kBeginCalls.count(tok(i).text) > 0 && i + 2 < size() &&
+          kVisitCalls.count(tok(i).text) > 0 && i + 2 < size() &&
           is_punct(tok(i + 1), "(") && tok(i + 2).kind == TokenKind::kIdent &&
           unordered_names_.count(tok(i + 2).text) > 0) {
         add("unordered-iter", tok(i).line,
