@@ -25,6 +25,7 @@
 #include "core/controller_zoo.h"
 #include "core/gradient_controller.h"
 #include "core/server_latency_tracker.h"
+#include "fault/fault_plan.h"
 #include "scenario/cluster_rig.h"
 
 namespace inband {
@@ -200,6 +201,103 @@ TEST_P(ConformanceTest, SameSeedRigRunsReproduce) {
   }
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(updates[0], updates[1]);
+}
+
+// --- bit-identity pins ---
+//
+// The conformance tests above compare two runs of the same build; these pin
+// each law's output as constants, so a refactor of the shared decision
+// skeleton has to reproduce every decision, weight and internal state bit
+// for bit.
+
+struct ControllerPins {
+  ControllerKind kind;
+  std::uint64_t decision_log;  // drive()'s log folded with digest_state
+  std::uint64_t rig_clean;     // ablation cell, clean plan
+  std::uint64_t rig_noise;     // ablation cell, 1% loss/reorder plan
+};
+
+constexpr ControllerPins kPins[] = {
+    {ControllerKind::kAlphaShift, 0xe82ea54ba61f749eULL,
+     0xa5501d8b49290211ULL, 0x5153fb6b55da8a8aULL},
+    {ControllerKind::kKnapsack, 0xb2c6cdee86a8828bULL,
+     0xc540d4f8007bb9eeULL, 0x2e5adb48b34ed96cULL},
+    {ControllerKind::kGradientDescent, 0xa5814f7636821a18ULL,
+     0xfe64955347d0ed21ULL, 0x0d98b5aca3457146ULL},
+    {ControllerKind::kShortestQueue, 0xb7ae10c215b2ccccULL,
+     0x45083c5e33a9aff7ULL, 0x9e184ebe925569feULL},
+    {ControllerKind::kShortestQueueStale, 0x93e2b967e3a7419cULL,
+     0x2825977135a998b0ULL, 0x7fad8eca5ea40200ULL},
+};
+
+const ControllerPins& pins_for(ControllerKind kind) {
+  for (const auto& p : kPins) {
+    if (p.kind == kind) return p;
+  }
+  ADD_FAILURE() << "no pins for " << controller_kind_name(kind);
+  return kPins[0];
+}
+
+// The cell of bench/ablation_controllers at --quick length (800 ms, seed
+// 2022, 3 servers), so the pin covers the zoo exactly as the ablation runs it.
+ClusterRigConfig ablation_cell(ControllerKind kind, const FaultPlan& plan) {
+  ClusterRigConfig cfg;
+  cfg.mode = LbMode::kInband;
+  cfg.num_servers = 3;
+  cfg.num_client_hosts = 2;
+  cfg.duration = ms(800);
+  cfg.inject_time = cfg.duration / 2;
+  cfg.inject_extra = ms(1);
+  cfg.victim = 0;
+  cfg.seed = 2022;
+  cfg.fault = plan;
+  cfg.client.connections = 4;
+  cfg.client.pipeline = 4;
+  cfg.client.requests_per_conn = 50;
+  cfg.server.workers = 8;
+  cfg.maglev_table_size = 1021;
+  cfg.share_sample_interval = ms(1);
+  cfg.audit_interval = 0;
+  cfg.inband.ensemble.epoch = ms(16);
+  cfg.inband.controller_kind = kind;
+  cfg.inband.controller.cooldown = ms(1);
+  cfg.inband.controller.min_samples = 3;
+  cfg.inband.tracker.ewma_tau = ms(2);
+  return cfg;
+}
+
+TEST_P(ConformanceTest, DecisionLogAndStatePinned) {
+  auto controller = make();
+  const auto log = drive(*controller);
+  StateDigest digest;
+  digest.mix(log.size());
+  for (const auto& d : log) {
+    digest.mix_i64(d.step);
+    digest.mix_u32(d.from);
+    digest.mix_double(d.fraction);
+    digest.mix_bool(d.is_vector);
+    digest.mix(d.weights.size());
+    for (const double w : d.weights) digest.mix_double(w);
+    digest.mix_double(d.worst_score_ns);
+    digest.mix_double(d.best_score_ns);
+  }
+  controller->digest_state(digest);
+  EXPECT_EQ(digest.value(), pins_for(GetParam()).decision_log)
+      << std::hex << "0x" << digest.value();
+}
+
+TEST_P(ConformanceTest, AblationRigDigestPinned) {
+  const ControllerPins& pins = pins_for(GetParam());
+  const FaultPlan clean;
+  const FaultPlan noise = make_noise_plan(0.01, 0.01, 0.002, us(20));
+  ClusterRig clean_rig{ablation_cell(GetParam(), clean)};
+  clean_rig.run();
+  EXPECT_EQ(clean_rig.state_digest(), pins.rig_clean)
+      << std::hex << "0x" << clean_rig.state_digest();
+  ClusterRig noise_rig{ablation_cell(GetParam(), noise)};
+  noise_rig.run();
+  EXPECT_EQ(noise_rig.state_digest(), pins.rig_noise)
+      << std::hex << "0x" << noise_rig.state_digest();
 }
 
 INSTANTIATE_TEST_SUITE_P(
