@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "check/state_digest.h"
-#include "core/alpha_shift_controller.h"  // AlphaShiftConfig / ShiftDecision
+#include "core/alpha_shift_controller.h"  // AlphaShiftConfig
 #include "core/flow_state_table.h"
 #include "core/server_latency_tracker.h"
 #include "net/flow.h"
@@ -368,13 +368,20 @@ class LegacyScalarSendPath {
 };
 
 // The α-shift controller exactly as it stood before the WeightController
-// interface extraction (PR 7): cooldown/shift bookkeeping inline instead of
-// inherited. The differential suite drives this and the refactored
-// AlphaShiftController with the same score streams and requires identical
-// decision sequences.
+// interface extraction: cooldown/shift bookkeeping and the eligibility scan
+// inline instead of inherited, and its own decision struct. The
+// differential suite drives this and AlphaShiftController::control_step
+// with the same score streams and requires identical decision sequences.
 INBAND_SHARD_LOCAL(lb)
 class LegacyAlphaShiftController {
  public:
+  struct Decision {
+    BackendId from = kNoBackend;
+    double fraction = 0.0;
+    double worst_score_ns = 0.0;
+    double best_score_ns = 0.0;
+  };
+
   explicit LegacyAlphaShiftController(AlphaShiftConfig config = {})
       : config_{config}, baseline_best_{config.guard_tau} {
     INBAND_ASSERT(config_.alpha > 0.0 && config_.alpha <= 1.0);
@@ -382,8 +389,8 @@ class LegacyAlphaShiftController {
     INBAND_ASSERT(config_.cooldown >= 0);
   }
 
-  std::optional<ShiftDecision> evaluate(ServerLatencyTracker& tracker,
-                                        SimTime now) {
+  std::optional<Decision> evaluate(ServerLatencyTracker& tracker,
+                                   SimTime now) {
     if (now < config_.warmup) return std::nullopt;
     if (last_shift_ != kNoTime && now - last_shift_ < config_.cooldown) {
       return std::nullopt;
@@ -437,8 +444,8 @@ class LegacyAlphaShiftController {
     pending_from_ = kNoBackend;
     last_shift_ = now;
     ++shifts_;
-    return ShiftDecision{worst->backend, config_.alpha, worst->score_ns,
-                         best->score_ns};
+    return Decision{worst->backend, config_.alpha, worst->score_ns,
+                    best->score_ns};
   }
 
   std::uint64_t shifts() const { return shifts_; }

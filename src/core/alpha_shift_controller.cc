@@ -14,34 +14,23 @@ AlphaShiftController::AlphaShiftController(AlphaShiftConfig config)
   INBAND_ASSERT(config_.global_guard == 0.0 || config_.global_guard >= 1.0);
 }
 
-std::optional<ShiftDecision> AlphaShiftController::evaluate(
-    ServerLatencyTracker& tracker, SimTime now) {
+std::optional<WeightDecision> AlphaShiftController::control_step(
+    ServerLatencyTracker& tracker, const std::vector<double>& weights,
+    SimTime now) {
+  (void)weights;
   if (now < config_.warmup) return std::nullopt;
   const SimTime last_shift = last_shift_time();
   if (last_shift != kNoTime && now - last_shift < config_.cooldown) {
     return std::nullopt;
   }
 
-  // Scratch reuse: evaluate runs per sampled packet, so a fresh vector here
-  // would be the dataplane's only steady-state allocation.
-  tracker.scores_into(now, scores_scratch_);
-  const auto& all = scores_scratch_;
-  // Eligible: warm and fresh.
-  const BackendScore* worst = nullptr;
-  const BackendScore* best = nullptr;
-  std::size_t eligible = 0;
-  for (const auto& s : all) {
-    if (s.samples < config_.min_samples) continue;
-    if (now - s.last_sample > config_.staleness) continue;
-    ++eligible;
-    if (worst == nullptr || s.score_ns > worst->score_ns) worst = &s;
-    if (best == nullptr || s.score_ns < best->score_ns) best = &s;
-  }
   // Shifting needs a comparison: at least two live opinions.
-  if (eligible < 2 || worst == nullptr || best == nullptr ||
-      worst->backend == best->backend) {
-    return std::nullopt;
-  }
+  const ScoreScan scan =
+      scan_scores(tracker, now, config_.min_samples, config_.staleness);
+  if (scan.eligible < 2) return std::nullopt;
+  const BackendScore& worst = scores()[scan.worst];
+  const BackendScore& best = scores()[scan.best];
+  if (worst.backend == best.backend) return std::nullopt;
 
   // Global-inflation guard: compare the best score against its trailing
   // baseline *before* folding the new level in, so an abrupt shared fault
@@ -49,8 +38,8 @@ std::optional<ShiftDecision> AlphaShiftController::evaluate(
   if (config_.global_guard > 0.0) {
     const bool inflated =
         baseline_best_.initialized() &&
-        best->score_ns > config_.global_guard * baseline_best_.value();
-    baseline_best_.record(now, best->score_ns);
+        best.score_ns > config_.global_guard * baseline_best_.value();
+    baseline_best_.record(now, best.score_ns);
     if (inflated) {
       ++guard_holds_;
       pending_from_ = kNoBackend;  // a shared event voids any candidate
@@ -58,16 +47,16 @@ std::optional<ShiftDecision> AlphaShiftController::evaluate(
     }
   }
 
-  const double gap = worst->score_ns - best->score_ns;
+  const double gap = worst.score_ns - best.score_ns;
   if (gap < static_cast<double>(config_.min_abs_gap) ||
-      worst->score_ns < config_.rel_threshold * best->score_ns) {
+      worst.score_ns < config_.rel_threshold * best.score_ns) {
     pending_from_ = kNoBackend;  // gap evaporated: candidate withdrawn
     return std::nullopt;
   }
 
   if (config_.confirm > 0) {
-    if (pending_from_ != worst->backend) {
-      pending_from_ = worst->backend;
+    if (pending_from_ != worst.backend) {
+      pending_from_ = worst.backend;
       pending_since_ = now;
       return std::nullopt;
     }
@@ -75,28 +64,11 @@ std::optional<ShiftDecision> AlphaShiftController::evaluate(
   }
 
   pending_from_ = kNoBackend;
-  note_update(now);
-  return ShiftDecision{worst->backend, config_.alpha, worst->score_ns,
-                       best->score_ns};
-}
-
-std::optional<WeightDecision> AlphaShiftController::control_step(
-    ServerLatencyTracker& tracker, const std::vector<double>& weights,
-    SimTime now) {
-  (void)weights;
-  const auto decision = evaluate(tracker, now);
-  if (!decision.has_value()) return std::nullopt;
-  WeightDecision out;
-  out.from = decision->from;
-  out.fraction = decision->fraction;
-  out.worst_score_ns = decision->worst_score_ns;
-  out.best_score_ns = decision->best_score_ns;
-  return out;
+  return emit_decision(now, worst, best, config_.alpha, nullptr);
 }
 
 void AlphaShiftController::digest_state(StateDigest& digest) const {
-  digest.mix(shifts());
-  digest.mix_i64(last_shift_time());
+  WeightController::digest_state(digest);
   digest.mix(guard_holds_);
   digest.mix_u32(pending_from_);
   digest.mix_i64(pending_since_);

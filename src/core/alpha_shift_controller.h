@@ -56,13 +56,6 @@ struct AlphaShiftConfig {
   SimTime confirm = 0;
 };
 
-struct ShiftDecision {
-  BackendId from = kNoBackend;
-  double fraction = 0.0;
-  double worst_score_ns = 0.0;
-  double best_score_ns = 0.0;
-};
-
 INBAND_SHARD_LOCAL(lb)
 class AlphaShiftController final : public WeightController {
  public:
@@ -70,15 +63,10 @@ class AlphaShiftController final : public WeightController {
 
   const char* name() const override { return "alpha-shift"; }
 
-  // Evaluates the rule against the tracker's current scores. Returns the
-  // shift to execute, or nullopt. Marks the cooldown when a shift fires.
-  // This is the law itself, kept callable directly (unit tests and the
-  // legacy-oracle differential suite drive it without the interface).
-  std::optional<ShiftDecision> evaluate(ServerLatencyTracker& tracker,
-                                        SimTime now);
-
-  // WeightController entry point: evaluate() expressed as a shift decision.
-  // The current weight vector is ignored — the α rule only looks at scores.
+  // Evaluates the rule against the tracker's current scores and returns the
+  // shift to execute (always the shift expression), or nullopt. A returned
+  // shift starts the cooldown. The current weight vector is ignored — the
+  // α rule only looks at scores.
   INBAND_HOT std::optional<WeightDecision> control_step(
       ServerLatencyTracker& tracker, const std::vector<double>& weights,
       SimTime now) override;
@@ -91,7 +79,6 @@ class AlphaShiftController final : public WeightController {
  private:
   AlphaShiftConfig config_;
   DecayingEwma baseline_best_;
-  std::vector<BackendScore> scores_scratch_;  // reused across evaluate() calls
   BackendId pending_from_ = kNoBackend;
   SimTime pending_since_ = kNoTime;
   std::uint64_t guard_holds_ = 0;

@@ -6,9 +6,9 @@ namespace inband {
 
 std::unique_ptr<WeightController> make_controller(
     const ControllerZooConfig& config) {
-  switch (config.kind) {
+  switch (config.controller_kind) {
     case ControllerKind::kAlphaShift:
-      return std::make_unique<AlphaShiftController>(config.alpha);
+      return std::make_unique<AlphaShiftController>(config.controller);
     case ControllerKind::kKnapsack:
       return std::make_unique<KnapsackLbController>(config.knapsack);
     case ControllerKind::kGradientDescent:

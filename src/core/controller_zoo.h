@@ -19,18 +19,22 @@
 
 namespace inband {
 
-// Per-kind configs, carried together so rigs/benches/CLIs can plumb one
-// struct. Only the config matching `kind` is consulted by make_controller.
+// Which control law closes the loop, plus each law's config, carried
+// together so rigs/benches/CLIs plumb one struct (InbandPolicyConfig extends
+// it). Only the config matching `controller_kind` is consulted by
+// make_controller. `controller` is the α-shift config; it keeps its name
+// from the alpha-only era so existing config sites read unchanged.
 struct ControllerZooConfig {
-  ControllerKind kind = ControllerKind::kAlphaShift;
-  AlphaShiftConfig alpha;
+  ControllerKind controller_kind = ControllerKind::kAlphaShift;
+  AlphaShiftConfig controller;
   KnapsackLbConfig knapsack;
   GradientDescentConfig gradient;
   ShortestQueueConfig shortest_queue;
 };
 
-// Builds the controller selected by `config.kind`. The stale shortest-queue
-// kind reuses ShortestQueueConfig with view_refresh forced positive.
+// Builds the controller selected by `config.controller_kind`. The stale
+// shortest-queue kind reuses ShortestQueueConfig with view_refresh forced
+// positive.
 std::unique_ptr<WeightController> make_controller(
     const ControllerZooConfig& config);
 

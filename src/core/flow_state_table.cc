@@ -37,6 +37,11 @@ FlowState& FlowStateTable::get_or_create(const FlowKey& flow, SimTime now) {
   return n.state;
 }
 
+const FlowState* FlowStateTable::find(const FlowKey& flow) const {
+  const auto it = map_.find(flow);
+  return it == map_.end() ? nullptr : &node(it->second).state;
+}
+
 void FlowStateTable::erase(const FlowKey& flow) {
   if (const auto it = map_.find(flow); it != map_.end()) remove(it->second);
 }

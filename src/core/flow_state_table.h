@@ -75,6 +75,10 @@ class FlowStateTable {
   // State for `flow`, creating it if absent; refreshes last-seen.
   FlowState& get_or_create(const FlowKey& flow, SimTime now);
 
+  // State for `flow`, or nullptr when untracked. Read-only: neither inserts
+  // nor refreshes last-seen.
+  const FlowState* find(const FlowKey& flow) const;
+
   // Drops the flow's state (e.g. FIN observed). No-op when absent.
   void erase(const FlowKey& flow);
 

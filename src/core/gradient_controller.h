@@ -27,9 +27,8 @@
 
 namespace inband {
 
-struct GradientDescentConfig {
-  SimTime epoch = ms(2);  // descent interval
-  double step = 0.3;      // base step size eta_0 (on normalized gradients)
+struct GradientDescentConfig : EpochLawConfig {
+  double step = 0.3;       // base step size eta_0 (on normalized gradients)
   bool decay_step = true;  // eta_i = step / sqrt(1 + epochs_i); false: constant
   // Decay cap: epochs_i saturates here, flooring eta_i at
   // step / sqrt(1 + max_decay_epochs). Unbounded decay is correct for the
@@ -37,40 +36,29 @@ struct GradientDescentConfig {
   // system — after a long calm stretch eta falls below the deadband and a
   // fault (stall, flap) can no longer be corrected. 63 floors eta at step/8.
   std::uint64_t max_decay_epochs = 63;
-  double min_weight = 0.02;
-  std::uint64_t min_samples = 3;
-  SimTime staleness = ms(20);
-  SimTime warmup = 0;
-  double deadband = 0.01;  // discard updates moving less than this much (L1)
-  // Purity contract; the law itself draws no entropy (see KnapsackLbConfig).
-  std::uint64_t seed = 0x9d5c;
 };
 
 INBAND_SHARD_LOCAL(lb)
-class GradientDescentController final : public WeightController {
+class GradientDescentController final : public EpochWeightLaw {
  public:
   explicit GradientDescentController(GradientDescentConfig config = {});
 
   const char* name() const override { return "gradient"; }
-
-  INBAND_HOT std::optional<WeightDecision> control_step(
-      ServerLatencyTracker& tracker, const std::vector<double>& weights,
-      SimTime now) override;
 
   const GradientDescentConfig& config() const { return config_; }
   // Number of descent epochs backend i has participated in (drives its
   // per-server step size). Introspection for tests.
   std::uint64_t epochs_seen(BackendId backend) const;
 
-  void digest_state(StateDigest& digest) const override;
-
  private:
+  void weigh(const std::vector<BackendScore>& view,
+             const std::vector<double>& weights, double floor,
+             std::vector<double>& next) override;
+  void digest_law(StateDigest& digest) const override;
+
   GradientDescentConfig config_;
   std::vector<std::uint64_t> epochs_;  // per-backend participation count
-  std::vector<BackendScore> scores_scratch_;
-  std::vector<double> next_;     // the decision's weight vector (owned)
-  std::vector<double> scratch_;  // projection workspace
-  SimTime last_eval_ = kNoTime;
+  std::vector<double> scratch_;        // projection workspace
 };
 
 }  // namespace inband

@@ -18,24 +18,22 @@ InbandLbPolicy::InbandLbPolicy(const BackendPool& pool,
       estimator_{config_.ensemble},
       handshake_{config_.handshake},
       flows_{config_.flow_table},
-      tracker_{pool.size(), config_.tracker} {
+      tracker_{pool.size(), config_.tracker},
+      controller_{make_controller(config_)} {
   INBAND_ASSERT(!pool_.empty());
-  ControllerZooConfig zoo;
-  zoo.kind = config_.controller_kind;
-  zoo.alpha = config_.controller;
-  zoo.knapsack = config_.knapsack;
-  zoo.gradient = config_.gradient;
-  zoo.shortest_queue = config_.shortest_queue;
-  controller_ = make_controller(zoo);
-  table_.build(pool_);
-  // Weight-fair target shares, for the optional restore drift.
+  rebuild_from_pool();
+}
+
+void InbandLbPolicy::rebuild_from_pool() {
+  // Weight-fair shares of the healthy pool: the restore drift's targets.
   double total = 0.0;
   for (const auto& b : pool_) total += b.healthy ? b.weight : 0;
-  fair_shares_.resize(pool_.size(), 0.0);
+  fair_shares_.assign(pool_.size(), 0.0);
   for (const auto& b : pool_) {
-    fair_shares_[b.id] = b.healthy ? b.weight / total : 0.0;
+    fair_shares_[b.id] = b.healthy && total > 0 ? b.weight / total : 0.0;
   }
   target_shares_ = fair_shares_;
+  table_.build(pool_);
   refresh_live_shares();
 }
 
@@ -155,14 +153,7 @@ void InbandLbPolicy::on_pool_change(const BackendPool& pool) {
   INBAND_ASSERT(pool.size() == pool_.size(),
                 "pool membership is fixed; only health/weights may change");
   pool_ = pool;
-  double total = 0.0;
-  for (const auto& b : pool_) total += b.healthy ? b.weight : 0;
-  for (const auto& b : pool_) {
-    fair_shares_[b.id] = b.healthy && total > 0 ? b.weight / total : 0.0;
-  }
-  target_shares_ = fair_shares_;
-  table_.build(pool_);
-  refresh_live_shares();
+  rebuild_from_pool();
 }
 
 void InbandLbPolicy::refresh_live_shares() {
@@ -179,8 +170,9 @@ void InbandLbPolicy::on_flow_closed(const FlowKey& flow, BackendId backend,
   flows_.erase(flow);
 }
 
-SimTime InbandLbPolicy::flow_delta(const FlowKey& flow, SimTime now) {
-  return estimator_.current_delta(flows_.get_or_create(flow, now).ensemble);
+SimTime InbandLbPolicy::flow_delta(const FlowKey& flow) const {
+  const FlowState* state = flows_.find(flow);
+  return state == nullptr ? kNoTime : estimator_.current_delta(state->ensemble);
 }
 
 void InbandLbPolicy::maybe_restore(SimTime now) {
@@ -195,15 +187,13 @@ void InbandLbPolicy::maybe_restore(SimTime now) {
 
   // Find the backend furthest below its fair share and the one furthest
   // above; drift slots from the latter to the former.
-  const auto shares = table_.shares();
   BackendId needy = kNoBackend;
   BackendId donor = kNoBackend;
   double worst_deficit = 0.0;
   double worst_surplus = 0.0;
   for (const auto& b : pool_) {
     if (!b.healthy) continue;
-    const double share = b.id < shares.size() ? shares[b.id] : 0.0;
-    const double deficit = fair_shares_[b.id] - share;
+    const double deficit = fair_shares_[b.id] - live_shares_[b.id];
     if (deficit > worst_deficit) {
       worst_deficit = deficit;
       needy = b.id;

@@ -53,17 +53,12 @@ namespace inband {
 // has no single victim to shift away from.
 enum class TableUpdateMode { kShiftSlots, kWeightRebuild };
 
-struct InbandPolicyConfig {
+// The control law and its config come from the ControllerZooConfig base
+// (`controller_kind`, `controller`, `knapsack`, ...), handed to
+// make_controller as is.
+struct InbandPolicyConfig : ControllerZooConfig {
   EnsembleConfig ensemble;
   LatencyTrackerConfig tracker;
-  // Which control law closes the loop, plus each law's config (only the one
-  // matching `controller_kind` is consulted). `controller` keeps its name
-  // from the alpha-only era so existing config sites read unchanged.
-  ControllerKind controller_kind = ControllerKind::kAlphaShift;
-  AlphaShiftConfig controller;
-  KnapsackLbConfig knapsack;
-  GradientDescentConfig gradient;
-  ShortestQueueConfig shortest_queue;
   FlowStateTableConfig flow_table;
   std::uint64_t maglev_table_size = 65537;
   std::uint64_t maglev_seed = 0xab5e1ef7ULL;
@@ -124,7 +119,6 @@ class InbandLbPolicy final : public RoutingPolicy {
 
   // --- introspection ---
   const MaglevTable& table() const { return table_; }
-  MaglevTable& table() { return table_; }
   ServerLatencyTracker& tracker() { return tracker_; }
   const WeightController& controller() const { return *controller_; }
   const EnsembleTimeout& estimator() const { return estimator_; }
@@ -135,8 +129,10 @@ class InbandLbPolicy final : public RoutingPolicy {
   std::uint64_t slots_disturbed() const { return slots_disturbed_; }
   std::size_t tracked_flows() const { return flows_.size(); }
 
-  // Per-flow estimator introspection for tests/benches.
-  SimTime flow_delta(const FlowKey& flow, SimTime now);
+  // Per-flow estimator introspection for tests/benches: the flow's current
+  // timeout, or kNoTime for an untracked flow. A pure lookup — the flow
+  // table and its recency order are left as they are.
+  SimTime flow_delta(const FlowKey& flow) const;
 
  private:
   void record_sample(const Packet& pkt, BackendId backend, SimTime now,
@@ -147,6 +143,9 @@ class InbandLbPolicy final : public RoutingPolicy {
   // Rebuilds the Maglev table from target_shares_ and returns the number of
   // slots whose owner changed (the kWeightRebuild / weight-vector mechanism).
   std::size_t rebuild_from_targets();
+  // Resets the fair and target shares to the pool's weights and rebuilds
+  // the table from the pool (construction and pool changes).
+  void rebuild_from_pool();
   // Recomputes live_shares_ from the table. Runs only after a (rate-limited)
   // table mutation, never per packet.
   void refresh_live_shares();

@@ -35,39 +35,25 @@
 
 namespace inband {
 
-struct KnapsackLbConfig {
-  SimTime epoch = ms(4);      // gauge + solve interval
+struct KnapsackLbConfig : EpochLawConfig {
+  KnapsackLbConfig() {
+    epoch = ms(4);  // gauge + solve interval
+    deadband = 0.04;
+  }
   double weight_step = 0.05;  // greedy allocation granularity
-  double min_weight = 0.02;   // per-backend floor (gauging budget)
-  std::uint64_t min_samples = 3;
-  SimTime staleness = ms(20);  // scores older than this block a solve
-  SimTime warmup = 0;
-  // A solve whose result moves less than this much total weight (L1) is
-  // discarded — the oscillation deadband.
-  double deadband = 0.04;
-  // Purity contract: identical (samples, weights, seed) => identical output.
-  // The law is currently deterministic without entropy; the seed is part of
-  // the conformance interface so stochastic variants keep the contract.
-  std::uint64_t seed = 0x6a6e;
 };
 
 INBAND_SHARD_LOCAL(lb)
-class KnapsackLbController final : public WeightController {
+class KnapsackLbController final : public EpochWeightLaw {
  public:
   explicit KnapsackLbController(KnapsackLbConfig config = {});
 
   const char* name() const override { return "knapsack"; }
 
-  INBAND_HOT std::optional<WeightDecision> control_step(
-      ServerLatencyTracker& tracker, const std::vector<double>& weights,
-      SimTime now) override;
-
   const KnapsackLbConfig& config() const { return config_; }
   // Fitted latency-vs-weight slope of one backend (ns per unit weight);
   // 0 until gauged. Introspection for tests/benches.
   double gauged_slope(BackendId backend) const;
-
-  void digest_state(StateDigest& digest) const override;
 
  private:
   static constexpr int kGaugePoints = 8;
@@ -80,13 +66,14 @@ class KnapsackLbController final : public WeightController {
     double intercept = 0.0;  // fitted a_i
   };
 
+  void weigh(const std::vector<BackendScore>& view,
+             const std::vector<double>& weights, double floor,
+             std::vector<double>& next) override;
+  void digest_law(StateDigest& digest) const override;
   void fit(Gauge& g) const;
 
   KnapsackLbConfig config_;
   std::vector<Gauge> gauges_;
-  std::vector<BackendScore> scores_scratch_;
-  std::vector<double> solved_;  // the decision's weight vector (owned)
-  SimTime last_eval_ = kNoTime;
 };
 
 }  // namespace inband

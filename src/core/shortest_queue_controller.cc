@@ -9,93 +9,55 @@
 namespace inband {
 
 ShortestQueueController::ShortestQueueController(ShortestQueueConfig config)
-    : config_{config} {
-  INBAND_ASSERT(config_.epoch > 0);
+    : EpochWeightLaw{config}, config_{config} {
   INBAND_ASSERT(config_.power > 0.0);
-  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
-  INBAND_ASSERT(config_.deadband >= 0.0);
 }
 
-std::optional<WeightDecision> ShortestQueueController::control_step(
-    ServerLatencyTracker& tracker, const std::vector<double>& weights,
-    SimTime now) {
-  if (now < config_.warmup) return std::nullopt;
-  if (last_eval_ != kNoTime && now - last_eval_ < config_.epoch) {
-    return std::nullopt;
-  }
-  INBAND_COLD_OK(
-      "epoch-rate reweigh: runs once per epoch, the per-sample path exits "
-      "above");
-  last_eval_ = now;
-
-  const std::size_t n = tracker.backend_count();
-  if (n < 2 || weights.size() != n) return std::nullopt;
-
+const std::vector<BackendScore>* ShortestQueueController::score_view(
+    ServerLatencyTracker& tracker, SimTime now, ScoreScan& scan) {
   // Refresh the operative view — every epoch for the fresh variant, only
   // every `view_refresh` for the stale one. A refresh demands a complete
-  // fresh opinion set; if it isn't available, the stale variant keeps
-  // steering by the old view (that's the point) and the fresh one holds.
+  // fresh opinion set; without one, both variants keep steering by the last
+  // complete view (for the stale variant, that is the point).
   const bool want_refresh =
       config_.view_refresh == 0 || view_taken_ == kNoTime ||
       now - view_taken_ >= config_.view_refresh;
   if (want_refresh) {
-    tracker.scores_into(now, scores_scratch_);
-    bool complete = scores_scratch_.size() == n;
-    if (complete) {
-      for (const auto& s : scores_scratch_) {
-        if (s.samples < config_.min_samples ||
-            now - s.last_sample > config_.staleness) {
-          complete = false;
-          break;
-        }
-      }
-    }
-    if (complete) {
-      view_ = scores_scratch_;
+    ScoreScan fresh;
+    if (const auto* scores = EpochWeightLaw::score_view(tracker, now, fresh)) {
+      view_ = *scores;
+      view_scan_ = fresh;
       view_taken_ = now;
     }
   }
-  if (view_.size() != n) return std::nullopt;
+  if (view_.size() != tracker.backend_count()) return nullptr;
+  scan = view_scan_;
+  return &view_;
+}
 
-  const BackendScore* worst = &view_[0];
-  const BackendScore* best = &view_[0];
-  next_.assign(n, 0.0);
-  for (const auto& s : view_) {
-    if (s.score_ns > worst->score_ns) worst = &s;
-    if (s.score_ns < best->score_ns) best = &s;
+void ShortestQueueController::weigh(const std::vector<BackendScore>& view,
+                                    const std::vector<double>& weights,
+                                    double floor, std::vector<double>& next) {
+  (void)weights;
+  next.assign(view.size(), 0.0);
+  for (const auto& s : view) {
     const double inv = 1.0 / std::max(s.score_ns, 1.0);
     // power == 1 skips a pow() whose rounding is libm's business, not ours.
-    next_[s.backend] =
+    next[s.backend] =
         config_.power > 0.999 && config_.power < 1.001
             ? inv
             : std::pow(inv, config_.power);
   }
-  floor_and_normalize(next_, config_.min_weight);
-
-  if (weight_l1_distance(next_, weights) < config_.deadband) {
-    return std::nullopt;
-  }
-  note_update(now);
-  WeightDecision out;
-  out.from = worst->backend;
-  out.weights = &next_;
-  out.worst_score_ns = worst->score_ns;
-  out.best_score_ns = best->score_ns;
-  return out;
+  floor_and_normalize(next, floor);
 }
 
-void ShortestQueueController::digest_state(StateDigest& digest) const {
-  digest.mix(shifts());
-  digest.mix_i64(last_shift_time());
-  digest.mix_i64(last_eval_);
+void ShortestQueueController::digest_law(StateDigest& digest) const {
   digest.mix_i64(view_taken_);
   digest.mix(view_.size());
   for (const auto& s : view_) {
     digest.mix_u32(s.backend);
     digest.mix_double(s.score_ns);
   }
-  digest.mix(next_.size());
-  for (const double w : next_) digest.mix_double(w);
 }
 
 }  // namespace inband

@@ -27,21 +27,14 @@
 
 namespace inband {
 
-struct ShortestQueueConfig {
-  SimTime epoch = ms(2);   // reweigh interval
+struct ShortestQueueConfig : EpochLawConfig {
+  ShortestQueueConfig() { min_samples = 1; }
   SimTime view_refresh = 0;  // 0: always-fresh view; >0: stale-info variant
-  double power = 1.0;      // preference sharpness
-  double min_weight = 0.02;
-  std::uint64_t min_samples = 1;
-  SimTime staleness = ms(20);
-  SimTime warmup = 0;
-  double deadband = 0.01;
-  // Purity contract; the law itself draws no entropy (see KnapsackLbConfig).
-  std::uint64_t seed = 0x50f7;
+  double power = 1.0;        // preference sharpness
 };
 
 INBAND_SHARD_LOCAL(lb)
-class ShortestQueueController final : public WeightController {
+class ShortestQueueController final : public EpochWeightLaw {
  public:
   explicit ShortestQueueController(ShortestQueueConfig config = {});
 
@@ -50,10 +43,6 @@ class ShortestQueueController final : public WeightController {
                                     : "shortest-queue";
   }
 
-  INBAND_HOT std::optional<WeightDecision> control_step(
-      ServerLatencyTracker& tracker, const std::vector<double>& weights,
-      SimTime now) override;
-
   const ShortestQueueConfig& config() const { return config_; }
   // Age of the score view the last decision was computed from (0 for the
   // fresh variant). Introspection for tests.
@@ -61,14 +50,18 @@ class ShortestQueueController final : public WeightController {
     return view_taken_ == kNoTime ? 0 : now - view_taken_;
   }
 
-  void digest_state(StateDigest& digest) const override;
-
  private:
+  const std::vector<BackendScore>* score_view(ServerLatencyTracker& tracker,
+                                              SimTime now,
+                                              ScoreScan& scan) override;
+  void weigh(const std::vector<BackendScore>& view,
+             const std::vector<double>& weights, double floor,
+             std::vector<double>& next) override;
+  void digest_law(StateDigest& digest) const override;
+
   ShortestQueueConfig config_;
-  std::vector<BackendScore> scores_scratch_;
-  std::vector<BackendScore> view_;  // stale snapshot (view_refresh > 0)
-  std::vector<double> next_;        // the decision's weight vector (owned)
-  SimTime last_eval_ = kNoTime;
+  std::vector<BackendScore> view_;  // the operative snapshot
+  ScoreScan view_scan_;             // view_'s scan, taken with it
   SimTime view_taken_ = kNoTime;
 };
 

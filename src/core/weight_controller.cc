@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "check/state_digest.h"
 #include "util/assert.h"
 
 namespace inband {
@@ -38,6 +39,94 @@ std::optional<ControllerKind> controller_kind_from_name(std::string_view name) {
     return ControllerKind::kShortestQueueStale;
   }
   return std::nullopt;
+}
+
+void WeightController::digest_state(StateDigest& digest) const {
+  digest.mix(updates_);
+  digest.mix_i64(last_update_);
+}
+
+ScoreScan WeightController::scan_scores(ServerLatencyTracker& tracker,
+                                        SimTime now,
+                                        std::uint64_t min_samples,
+                                        SimTime staleness) {
+  tracker.scores_into(now, scores_);
+  ScoreScan scan;
+  for (std::size_t i = 0; i < scores_.size(); ++i) {
+    const BackendScore& s = scores_[i];
+    if (s.samples < min_samples) continue;
+    if (now - s.last_sample > staleness) continue;
+    if (scan.eligible == 0 || s.score_ns > scores_[scan.worst].score_ns) {
+      scan.worst = i;
+    }
+    if (scan.eligible == 0 || s.score_ns < scores_[scan.best].score_ns) {
+      scan.best = i;
+    }
+    ++scan.eligible;
+  }
+  scan.complete = scan.eligible == tracker.backend_count();
+  return scan;
+}
+
+WeightDecision WeightController::emit_decision(
+    SimTime now, const BackendScore& worst, const BackendScore& best,
+    double fraction, const std::vector<double>* weights) {
+  ++updates_;
+  last_update_ = now;
+  return WeightDecision{worst.backend, fraction, weights, worst.score_ns,
+                        best.score_ns};
+}
+
+EpochWeightLaw::EpochWeightLaw(const EpochLawConfig& config)
+    : config_{config} {
+  INBAND_ASSERT(config_.epoch > 0);
+  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
+  INBAND_ASSERT(config_.deadband >= 0.0);
+}
+
+std::optional<WeightDecision> EpochWeightLaw::control_step(
+    ServerLatencyTracker& tracker, const std::vector<double>& weights,
+    SimTime now) {
+  if (now < config_.warmup) return std::nullopt;
+  if (last_eval_ != kNoTime && now - last_eval_ < config_.epoch) {
+    return std::nullopt;
+  }
+  INBAND_COLD_OK(
+      "epoch-rate weight solve: runs once per epoch, the per-sample path "
+      "exits above");
+  last_eval_ = now;
+
+  const std::size_t n = tracker.backend_count();
+  if (n < 2 || weights.size() != n) return std::nullopt;
+  ScoreScan scan;
+  const std::vector<BackendScore>* view = score_view(tracker, now, scan);
+  if (view == nullptr) return std::nullopt;
+
+  // The floor keeps every backend sampled once the law is in charge, which
+  // is what keeps the next epoch's view complete.
+  const double nd = static_cast<double>(n);
+  const double floor = std::min(config_.min_weight, 1.0 / (2.0 * nd));
+  weigh(*view, weights, floor, next_);
+  if (weight_l1_distance(next_, weights) < config_.deadband) {
+    return std::nullopt;
+  }
+  return emit_decision(now, (*view)[scan.worst], (*view)[scan.best], 0.0,
+                       &next_);
+}
+
+const std::vector<BackendScore>* EpochWeightLaw::score_view(
+    ServerLatencyTracker& tracker, SimTime now, ScoreScan& scan) {
+  // Acting on a partial view would starve whoever is quiet this epoch.
+  scan = scan_scores(tracker, now, config_.min_samples, config_.staleness);
+  return scan.complete ? &scores() : nullptr;
+}
+
+void EpochWeightLaw::digest_state(StateDigest& digest) const {
+  WeightController::digest_state(digest);
+  digest.mix_i64(last_eval_);
+  digest_law(digest);
+  digest.mix(next_.size());
+  for (const double w : next_) digest.mix_double(w);
 }
 
 void floor_and_normalize(std::vector<double>& w, double floor) {

@@ -1,7 +1,8 @@
-// Common command-line surface for the bench drivers.
-//
-// Every per-figure bench (fig2a/fig2b/fig3, the ablations, perf_dataplane)
-// shares one option set on top of util/flags:
+// Common command-line surface for the bench programs that emit the shared
+// JSON envelope: ablation_controllers, parallel_rig and perf_dataplane. The
+// other figure and ablation benches use a plain util/flags FlagSet, and
+// micro_dataplane uses google-benchmark's own flags. A BenchCli bench gets
+// one option set on top of util/flags:
 //
 //   --json <path>   write a machine-readable result summary (JSON envelope
 //                   {schema, bench, quick, seed, metrics:{...}})

@@ -95,11 +95,11 @@ class ConformanceTest : public testing::TestWithParam<ControllerKind> {
  protected:
   static std::unique_ptr<WeightController> make() {
     ControllerZooConfig cfg;
-    cfg.kind = GetParam();
+    cfg.controller_kind = GetParam();
     // Uniform, mildly aggressive settings so every law actually fires
     // within the 200ms stream.
-    cfg.alpha.min_samples = 2;
-    cfg.alpha.cooldown = us(500);
+    cfg.controller.min_samples = 2;
+    cfg.controller.cooldown = us(500);
     cfg.knapsack.min_samples = 2;
     cfg.gradient.min_samples = 2;
     cfg.shortest_queue.min_samples = 2;
@@ -331,7 +331,7 @@ TEST(ControllerRegistry, NamesRoundTripAndAreUnique) {
 TEST(ControllerRegistry, FactoryBuildsWhatItNames) {
   for (const ControllerKind kind : controller_registry()) {
     ControllerZooConfig cfg;
-    cfg.kind = kind;
+    cfg.controller_kind = kind;
     const auto controller = make_controller(cfg);
     ASSERT_NE(controller, nullptr);
     EXPECT_STREQ(controller->name(), controller_kind_name(kind));
@@ -342,7 +342,7 @@ TEST(ControllerRegistry, FactoryBuildsWhatItNames) {
 
 TEST(ControllerRegistry, StaleFactoryForcesPositiveRefresh) {
   ControllerZooConfig cfg;
-  cfg.kind = ControllerKind::kShortestQueueStale;
+  cfg.controller_kind = ControllerKind::kShortestQueueStale;
   cfg.shortest_queue.view_refresh = 0;  // factory must not build a fresh law
   const auto controller = make_controller(cfg);
   EXPECT_STREQ(controller->name(), "shortest-queue-stale");
