@@ -1,5 +1,6 @@
 #include "fault/fault_layer.h"
 
+#include <algorithm>
 #include <string>
 
 #include "check/invariant_auditor.h"
@@ -18,15 +19,13 @@ FaultLayer::FaultLayer(Simulator& sim, Network& net, FaultPlan plan,
   flaps_.reserve(plan_.flaps.size());
   for (const auto& spec : plan_.flaps) flaps_.push_back({spec, {}});
 
+  links_.reserve(topology.size());
   for (const auto& ref : topology) {
     INBAND_ASSERT(ref.scope != LinkScope::kAll,
                   "topology entries need a concrete scope");
     INBAND_ASSERT(net_.has_link(ref.from, ref.to),
                   "fault topology names a missing link");
-    const auto [it, inserted] = links_.emplace(link_key(ref.from, ref.to),
-                                               LinkState{});
-    INBAND_ASSERT(inserted, "duplicate link in fault topology");
-    LinkState& state = it->second;
+    LinkState& state = links_.emplace_back();
     state.ref = ref;
     for (const auto& spec : plan_.links) {
       if (matches(spec.scope, spec.index, ref)) state.specs.push_back(&spec);
@@ -39,6 +38,17 @@ FaultLayer::FaultLayer(Simulator& sim, Network& net, FaultPlan plan,
     // Per-link engine: the same plan seed faults the same packets on a link
     // regardless of what other links carry.
     state.rng.reseed(splitmix64(plan_.seed ^ link_key(ref.from, ref.to)));
+  }
+  std::sort(links_.begin(), links_.end(),
+            [](const LinkState& a, const LinkState& b) {
+              return link_key(a.ref.from, a.ref.to) <
+                     link_key(b.ref.from, b.ref.to);
+            });
+  for (std::uint32_t i = 0; i < links_.size(); ++i) {
+    const auto [it, inserted] = link_index_.emplace(
+        link_key(links_[i].ref.from, links_[i].ref.to), i);
+    (void)it;
+    INBAND_ASSERT(inserted, "duplicate link in fault topology");
   }
 
   for (std::size_t f = 0; f < flaps_.size(); ++f) {
@@ -86,8 +96,7 @@ void FaultLayer::flap_transition(std::size_t flap_index, bool down) {
     flap.phase = FlapPhase::kRestored;
   }
   ++counters_.get("fault.flap_transitions");
-  for (auto& [key, link] : links_) {
-    (void)key;
+  for (auto& link : links_) {
     for (const std::size_t f : link.flaps) {
       if (f != flap_index) continue;
       link.down_count += down ? 1 : -1;
@@ -102,19 +111,23 @@ void FaultLayer::flap_transition(std::size_t flap_index, bool down) {
              << flap.spec.index << ")";
 }
 
+FaultLayer::LinkState* FaultLayer::find_link(Ipv4 from, Ipv4 to) {
+  const auto it = link_index_.find(link_key(from, to));
+  return it == link_index_.end() ? nullptr : &links_[it->second];
+}
+
 SendVerdict FaultLayer::on_send(const Packet& pkt, Ipv4 from, Ipv4 to) {
-  const auto it = links_.find(link_key(from, to));
-  if (it == links_.end()) return {};
-  return decide(it->second, pkt);
+  LinkState* link = find_link(from, to);
+  if (link == nullptr) return {};
+  return decide(*link, pkt);
 }
 
 void FaultLayer::on_send_batch(const PacketBatch& batch, Ipv4 from, Ipv4 to,
                                BatchVerdict& out) {
-  const auto it = links_.find(link_key(from, to));  // one lookup per batch
-  if (it == links_.end()) return;  // verdicts default to pass-through
-  LinkState& link = it->second;
+  LinkState* link = find_link(from, to);  // one lookup per batch
+  if (link == nullptr) return;  // verdicts default to pass-through
   for (std::uint32_t i = 0; i < batch.size(); ++i) {
-    out.v[i] = decide(link, *batch[i]);
+    out.v[i] = decide(*link, *batch[i]);
   }
 }
 
@@ -124,7 +137,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
   if (link.down_count > 0) {
     ++flap_drops_;
     // hotlint:allow(hot-growth): one id per dropped packet, faults only
-    dropped_ids_.insert(pkt.pkt_id);
+    dropped_ids_.try_emplace(pkt.pkt_id);
     record_link_event(FaultEvent::Kind::kFlapDrop, link.ref);
     return {.drop = true};
   }
@@ -137,7 +150,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
     if (spec->loss > 0.0 && link.rng.bernoulli(spec->loss)) {
       ++loss_;
       // hotlint:allow(hot-growth): one id per dropped packet, faults only
-      dropped_ids_.insert(pkt.pkt_id);
+      dropped_ids_.try_emplace(pkt.pkt_id);
       record_link_event(FaultEvent::Kind::kLoss, link.ref);
       return {.drop = true};
     }
@@ -170,7 +183,7 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
   }
   ++passed_;
   // hotlint:allow(hot-growth): one id per faulted-but-forwarded packet
-  if (touched) touched_forwarded_ids_.insert(pkt.pkt_id);
+  if (touched) touched_forwarded_ids_.try_emplace(pkt.pkt_id);
   return verdict;
 }
 
@@ -194,9 +207,9 @@ void FaultLayer::audit_invariants(AuditScope& scope) const {
   const auto& large = dropped_ids_.size() <= touched_forwarded_ids_.size()
                           ? touched_forwarded_ids_
                           : dropped_ids_;
-  for (const std::uint64_t id : sorted_values(small)) {
-    if (!scope.check(large.find(id) == large.end(),
-                     "dropped-xor-delivered",
+  for (const auto* e : sorted_entries(small)) {
+    const std::uint64_t id = e->first;
+    if (!scope.check(!large.contains(id), "dropped-xor-delivered",
                      "pkt_id " + std::to_string(id) +
                          " both dropped and forwarded")) {
       break;
@@ -224,8 +237,7 @@ void FaultLayer::audit_invariants(AuditScope& scope) const {
         break;
     }
   }
-  for (const auto& [key, link] : links_) {
-    (void)key;
+  for (const auto& link : links_) {
     int down = 0;
     for (const std::size_t f : link.flaps) {
       down += flaps_[f].phase == FlapPhase::kDown ? 1 : 0;
@@ -245,8 +257,8 @@ void FaultLayer::audit_invariants(AuditScope& scope) const {
 
 void FaultLayer::digest_state(StateDigest& digest) const {
   digest.mix(links_.size());
-  for (const auto& [key, link] : links_) {
-    digest.mix(key);
+  for (const auto& link : links_) {
+    digest.mix(link_key(link.ref.from, link.ref.to));
     for (const std::uint64_t w : link.rng.state()) digest.mix(w);
     digest.mix_u32(static_cast<std::uint32_t>(link.down_count));
   }
@@ -268,19 +280,19 @@ void FaultLayer::digest_state(StateDigest& digest) const {
   }
   UnorderedDigest dropped;
   // detlint:allow(unordered-iter): per-id hashes fold through the commutative UnorderedDigest combiner
-  for (const std::uint64_t id : dropped_ids_) dropped.add(splitmix64(id));
+  for (const auto& [id, none] : dropped_ids_) dropped.add(splitmix64(id));
   dropped.mix_into(digest);
   UnorderedDigest touched;
   // detlint:allow(unordered-iter): per-id hashes fold through the commutative UnorderedDigest combiner
-  for (const std::uint64_t id : touched_forwarded_ids_) {
+  for (const auto& [id, none] : touched_forwarded_ids_) {
     touched.add(splitmix64(id));
   }
   touched.mix_into(digest);
 }
 
 void FaultLayer::corrupt_bookkeeping_for_test() {
-  dropped_ids_.insert(0xdead);
-  touched_forwarded_ids_.insert(0xdead);
+  dropped_ids_.try_emplace(0xdead);
+  touched_forwarded_ids_.try_emplace(0xdead);
 }
 
 }  // namespace inband

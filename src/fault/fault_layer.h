@@ -19,14 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_set>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "net/network.h"
 #include "telemetry/counters.h"
 #include "util/hotpath.h"
+#include "util/open_hash_map.h"
 #include "util/rng.h"
 #include "util/shard.h"
 
@@ -119,14 +118,20 @@ class FaultLayer final : public SendInterceptor {
   void flap_transition(std::size_t flap_index, bool down);
   void record_link_event(FaultEvent::Kind kind, const LinkRef& ref);
 
+  // The link's state, or nullptr for a link outside the topology.
+  INBAND_HOT LinkState* find_link(Ipv4 from, Ipv4 to);
   // Per-packet fate on an already-resolved link (shared by both entry forms).
   INBAND_HOT SendVerdict decide(LinkState& link, const Packet& pkt);
 
   Simulator& sim_;
   Network& net_;
   FaultPlan plan_;
-  // Keyed by directed link; std::map so iteration (digest) is deterministic.
-  std::map<std::uint64_t, LinkState> links_;
+  // Per-link state sorted by directed link key, so the flap walk, the audit
+  // and the digest visit links in key order; `link_index_` maps a link key
+  // to its position for the per-send lookup. Both are fixed after
+  // construction.
+  std::vector<LinkState> links_;
+  OpenHashMap<std::uint64_t, std::uint32_t> link_index_;
   std::vector<FlapState> flaps_;
   std::vector<FaultEvent> events_;
   CounterSet counters_;
@@ -138,10 +143,11 @@ class FaultLayer final : public SendInterceptor {
   LazyCounter reorders_{counters_, "fault.reorders"};
   LazyCounter jittered_{counters_, "fault.jittered"};
   LazyCounter passed_{counters_, "fault.passed"};
-  // Decision bookkeeping for the "dropped xor delivered" audit. Only faulted
-  // packets are tracked, so the sets stay proportional to the fault rate.
-  std::unordered_set<std::uint64_t> dropped_ids_;
-  std::unordered_set<std::uint64_t> touched_forwarded_ids_;
+  // Decision bookkeeping for the "dropped xor delivered" audit, as pkt_id
+  // sets. Only faulted packets are tracked, so the sets stay proportional
+  // to the fault rate.
+  OpenHashSet<std::uint64_t> dropped_ids_;
+  OpenHashSet<std::uint64_t> touched_forwarded_ids_;
 };
 
 }  // namespace inband

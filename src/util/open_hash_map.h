@@ -25,6 +25,9 @@
 // pointer or an index (DESIGN.md §10.2 lists the sites). Iteration order
 // follows the insert/erase history, not the keys; detlint treats the type
 // as an unordered container (rule unordered-iter).
+//
+// OpenHashSet<K> is the same table with an empty mapped type: insert with
+// try_emplace(key), test with contains(key); iteration yields {key, {}}.
 #pragma once
 
 #include <bit>
@@ -114,6 +117,9 @@ class OpenHashMap {
   }
   INBAND_HOT const_iterator find(const K& key) const {
     return {this, find_index(key)};
+  }
+  INBAND_HOT bool contains(const K& key) const {
+    return find_index(key) != ctrl_.size();
   }
 
   // Inserts {key, V(args...)} unless `key` is present; either way returns
@@ -264,5 +270,11 @@ class OpenHashMap {
   std::size_t mask_ = 0;              // capacity - 1
   unsigned shift_ = 64;               // 64 - log2(capacity)
 };
+
+// OpenHashSet's mapped type.
+struct NoValue {};
+
+template <typename K, typename Hash = OpenHash<K>>
+using OpenHashSet = OpenHashMap<K, NoValue, Hash>;
 
 }  // namespace inband

@@ -83,6 +83,24 @@ void f() {
   EXPECT_EQ(FindingsFor(r, "unordered-iter").size(), 2u);
 }
 
+TEST(DetlintEngine, FlagsRangeForOverOpenHashSet) {
+  const char* src = R"(
+#include "util/open_hash_map.h"
+struct S {
+  inband::OpenHashSet<unsigned long> ids_;
+  unsigned long fold() const {
+    unsigned long h = 0;
+    for (const auto& [id, none] : ids_) h = h * 31 + id;
+    return h;
+  }
+};
+)";
+  FileReport r = detlint::analyze_source("x.cc", src, false);
+  auto hits = FindingsFor(r, "unordered-iter");
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].line, 7);
+}
+
 TEST(DetlintEngine, SortedSnapshotHelperCallIsNotFlagged) {
   // The blessed pattern: the unordered container appears only as a call
   // argument inside the range expression, never as the range itself.

@@ -13,10 +13,11 @@ namespace detlint {
 namespace {
 
 // Hash containers whose iteration order follows insert/erase history:
-// std::unordered_* and the flat OpenHashMap (src/util/open_hash_map.h).
+// std::unordered_* and the flat OpenHashMap / OpenHashSet
+// (src/util/open_hash_map.h).
 const std::set<std::string> kUnorderedContainers = {
     "unordered_map", "unordered_set", "unordered_multimap",
-    "unordered_multiset", "OpenHashMap"};
+    "unordered_multiset", "OpenHashMap", "OpenHashSet"};
 
 // Ordered / sequence container spellings: a local declaration with one of
 // these shadows an imported unordered name of the same spelling (e.g. a
