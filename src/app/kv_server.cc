@@ -31,18 +31,15 @@ void KvServer::add_injector(std::unique_ptr<VariabilityInjector> injector) {
 void KvServer::abort_all_connections() {
   queue_.clear();
   // abort() triggers on_closed, which erases from open_conns_; iterate a
-  // snapshot. Sort it by flow key: the set is keyed on heap pointers, and
-  // the abort order fixes the order RSTs hit the wire — iterating in pointer
-  // order would make crash runs irreproducible.
-  const std::vector<TcpConnection*> conns = sorted_values(
-      open_conns_, [](const TcpConnection* a, const TcpConnection* b) {
-        return a->key() < b->key();
-      });
+  // snapshot. Sort it by flow key: the abort order fixes the order RSTs hit
+  // the wire, so it must not follow the table's slot order.
+  std::vector<TcpConnection*> conns;
+  for (const auto* e : sorted_entries(open_conns_)) conns.push_back(e->second);
   for (auto* conn : conns) conn->abort();
 }
 
 void KvServer::on_accept(TcpConnection& conn) {
-  open_conns_.insert(&conn);
+  open_conns_.emplace(conn.key(), &conn);
   conn.callbacks().on_message =
       [this](TcpConnection& c, std::shared_ptr<const AppPayload> payload) {
         auto req = std::dynamic_pointer_cast<const KvMessage>(payload);
@@ -52,13 +49,18 @@ void KvServer::on_accept(TcpConnection& conn) {
       };
   conn.callbacks().on_peer_close = [](TcpConnection& c) { c.close(); };
   conn.callbacks().on_closed = [this](TcpConnection& c, bool /*reset*/) {
-    open_conns_.erase(&c);
+    open_conns_.erase(c.key());
   };
+}
+
+bool KvServer::still_open(const Pending& work) const {
+  const auto it = open_conns_.find(work.key);
+  return it != open_conns_.end() && it->second == work.conn;
 }
 
 void KvServer::on_request(TcpConnection& conn,
                           std::shared_ptr<const KvMessage> request) {
-  Pending work{&conn, std::move(request)};
+  Pending work{&conn, conn.key(), std::move(request)};
   if (busy_workers_ < config_.workers) {
     start_processing(std::move(work));
   } else {
@@ -136,8 +138,7 @@ void KvServer::finish(Pending work) {
   ++requests_served_;
 
   // The connection may have died while the request was in service.
-  if (open_conns_.find(work.conn) != open_conns_.end() &&
-      work.conn->can_send()) {
+  if (still_open(work) && work.conn->can_send()) {
     auto resp = msg_pool_.make();
     fill_kv_response(*resp, req, hit, value_len);
     const std::uint32_t wire = kv_response_wire_size(*resp);
@@ -148,7 +149,7 @@ void KvServer::finish(Pending work) {
     Pending next = std::move(queue_.front());
     queue_.pop();
     // Dead connections may sit in the queue; drop their work.
-    while (open_conns_.find(next.conn) == open_conns_.end()) {
+    while (!still_open(next)) {
       if (queue_.empty()) return;
       next = std::move(queue_.front());
       queue_.pop();

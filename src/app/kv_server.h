@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "app/message.h"
@@ -71,8 +70,12 @@ class KvServer {
  private:
   struct Pending {
     TcpConnection* conn;
+    FlowKey key;  // conn's key: liveness is checked by key, not by pointer
     std::shared_ptr<const KvMessage> request;
   };
+
+  // Whether the connection `work` came in on is still open.
+  bool still_open(const Pending& work) const;
 
   void on_accept(TcpConnection& conn);
   INBAND_HOT void on_request(TcpConnection& conn,
@@ -88,7 +91,9 @@ class KvServer {
   SharedPool<KvMessage> msg_pool_;  // recycles response objects
   std::vector<std::unique_ptr<VariabilityInjector>> injectors_;
   OpenHashMap<std::uint64_t, std::uint32_t> store_;  // key -> size
-  std::unordered_set<TcpConnection*> open_conns_;
+  // Open connections by key. Keyed on the flow rather than the pointer, so
+  // slot order does not depend on heap addresses.
+  OpenHashMap<FlowKey, TcpConnection*> open_conns_;
   RingBuffer<Pending> queue_;  // overload FIFO, slots recycled in place
   int busy_workers_ = 0;
 

@@ -24,13 +24,19 @@ std::uint32_t TcpStack::make_isn() {
   return static_cast<std::uint32_t>(conn_counter_ * 0x01000193u);
 }
 
-bool TcpStack::port_in_use(std::uint16_t port) const {
-  // detlint:allow(unordered-iter): pure existence test; the answer is independent of visit order
-  for (const auto& [key, conn] : conns_) {
-    (void)conn;
-    if (key.src.port == port) return true;
-  }
-  return false;
+void TcpStack::add_connection(const FlowKey& key,
+                              std::unique_ptr<TcpConnection> conn) {
+  const auto [it, inserted] = conns_.emplace(key, std::move(conn));
+  (void)it;
+  INBAND_ASSERT(inserted, "duplicate connection key");
+  ++ports_in_use_[key.src.port];
+}
+
+void TcpStack::erase_connection(const FlowKey& key) {
+  conns_.erase(key);
+  const auto it = ports_in_use_.find(key.src.port);
+  INBAND_DCHECK(it != ports_in_use_.end() && it->second > 0);
+  if (--it->second == 0) ports_in_use_.erase(it);
 }
 
 std::uint16_t TcpStack::allocate_port() {
@@ -39,7 +45,7 @@ std::uint16_t TcpStack::allocate_port() {
     next_ephemeral_ =
         next_ephemeral_ >= 60999 ? 32768 : static_cast<std::uint16_t>(
                                                next_ephemeral_ + 1);
-    if (!port_in_use(candidate) &&
+    if (!ports_in_use_.contains(candidate) &&
         listeners_.find(candidate) == listeners_.end()) {
       return candidate;
     }
@@ -58,9 +64,7 @@ TcpConnection* TcpStack::connect(Endpoint remote, const TcpConfig& config) {
   auto conn = std::make_unique<TcpConnection>(*this, key, config, make_isn(),
                                               /*active_open=*/true);
   auto* ptr = conn.get();
-  const auto [it, inserted] = conns_.emplace(key, std::move(conn));
-  (void)it;
-  INBAND_ASSERT(inserted, "duplicate connection key");
+  add_connection(key, std::move(conn));
   ++initiated_;
   return ptr;
 }
@@ -93,7 +97,7 @@ void TcpStack::on_packet(const Packet& pkt) {
           *this, local_view, default_config_, make_isn(),
           /*active_open=*/false);
       auto* ptr = conn.get();
-      conns_.emplace(local_view, std::move(conn));
+      add_connection(local_view, std::move(conn));
       ++accepted_;
       lit->second(*ptr);      // app installs callbacks
       ptr->on_packet(pkt);    // processes the SYN, sends SYN+ACK
@@ -124,7 +128,7 @@ void TcpStack::reap(const FlowKey& key) {
   sim().schedule_after(0, [this, key] {
     const auto it = conns_.find(key);
     if (it != conns_.end() && it->second->state() == TcpState::kClosed) {
-      conns_.erase(it);
+      erase_connection(key);
     }
   });
 }
@@ -144,6 +148,10 @@ void TcpStack::audit_invariants(AuditScope& scope) const {
   scope.check(conn_counter_ == initiated_ + accepted_,
               "connection-counter-consistent");
   scope.check(conns_.size() <= conn_counter_, "live-bounded-by-created");
+  std::size_t on_ports = 0;
+  // detlint:allow(unordered-iter): commutative sum; order-independent
+  for (const auto& [port, count] : ports_in_use_) on_ports += count;
+  scope.check(on_ports == conns_.size(), "port-counts-cover-connections");
 }
 
 void TcpStack::digest_state(StateDigest& digest) const {

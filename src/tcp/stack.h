@@ -74,7 +74,9 @@ class TcpStack {
   std::uint16_t allocate_port();
   std::uint32_t make_isn();
   void send_rst_for(const Packet& pkt);
-  bool port_in_use(std::uint16_t port) const;
+  // conns_ insert/erase, keeping ports_in_use_ in step.
+  void add_connection(const FlowKey& key, std::unique_ptr<TcpConnection> conn);
+  void erase_connection(const FlowKey& key);
 
   Host& host_;
   TcpConfig default_config_;
@@ -82,6 +84,10 @@ class TcpStack {
   // Demux table. Connections sit behind unique_ptr because the table moves
   // its entries on insert and erase; TcpConnection* handed out stays valid.
   OpenHashMap<FlowKey, std::unique_ptr<TcpConnection>> conns_;
+  // Local port -> live connections on it (active and passive), so port
+  // allocation is a lookup, not a walk of conns_. Ports with no connection
+  // have no entry.
+  OpenHashMap<std::uint16_t, std::uint32_t> ports_in_use_;
   std::unordered_map<std::uint16_t, AcceptCallback> listeners_;
   std::uint16_t next_ephemeral_ = 32768;
   std::uint64_t conn_counter_ = 0;
