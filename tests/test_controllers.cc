@@ -26,6 +26,7 @@
 #include "core/gradient_controller.h"
 #include "core/server_latency_tracker.h"
 #include "fault/fault_plan.h"
+#include "pinned_digests.h"
 #include "scenario/cluster_rig.h"
 
 namespace inband {
@@ -210,24 +211,19 @@ TEST_P(ConformanceTest, SameSeedRigRunsReproduce) {
 // skeleton has to reproduce every decision, weight and internal state bit
 // for bit.
 
+// Decision-log pins; the rig pins live in tests/pinned_digests.h with the
+// suite's other whole-rig digests.
 struct ControllerPins {
   ControllerKind kind;
   std::uint64_t decision_log;  // drive()'s log folded with digest_state
-  std::uint64_t rig_clean;     // ablation cell, clean plan
-  std::uint64_t rig_noise;     // ablation cell, 1% loss/reorder plan
 };
 
 constexpr ControllerPins kPins[] = {
-    {ControllerKind::kAlphaShift, 0xe82ea54ba61f749eULL,
-     0xa5501d8b49290211ULL, 0x5153fb6b55da8a8aULL},
-    {ControllerKind::kKnapsack, 0xb2c6cdee86a8828bULL,
-     0xc540d4f8007bb9eeULL, 0x2e5adb48b34ed96cULL},
-    {ControllerKind::kGradientDescent, 0xa5814f7636821a18ULL,
-     0xfe64955347d0ed21ULL, 0x0d98b5aca3457146ULL},
-    {ControllerKind::kShortestQueue, 0xb7ae10c215b2ccccULL,
-     0x45083c5e33a9aff7ULL, 0x9e184ebe925569feULL},
-    {ControllerKind::kShortestQueueStale, 0x93e2b967e3a7419cULL,
-     0x2825977135a998b0ULL, 0x7fad8eca5ea40200ULL},
+    {ControllerKind::kAlphaShift, 0xe82ea54ba61f749eULL},
+    {ControllerKind::kKnapsack, 0xb2c6cdee86a8828bULL},
+    {ControllerKind::kGradientDescent, 0xa5814f7636821a18ULL},
+    {ControllerKind::kShortestQueue, 0xb7ae10c215b2ccccULL},
+    {ControllerKind::kShortestQueueStale, 0x93e2b967e3a7419cULL},
 };
 
 const ControllerPins& pins_for(ControllerKind kind) {
@@ -236,6 +232,14 @@ const ControllerPins& pins_for(ControllerKind kind) {
   }
   ADD_FAILURE() << "no pins for " << controller_kind_name(kind);
   return kPins[0];
+}
+
+const pins::AblationRigPins& rig_pins_for(ControllerKind kind) {
+  for (const auto& p : pins::kAblationRigs) {
+    if (p.kind == kind) return p;
+  }
+  ADD_FAILURE() << "no rig pins for " << controller_kind_name(kind);
+  return pins::kAblationRigs[0];
 }
 
 // The cell of bench/ablation_controllers at --quick length (800 ms, seed
@@ -287,16 +291,16 @@ TEST_P(ConformanceTest, DecisionLogAndStatePinned) {
 }
 
 TEST_P(ConformanceTest, AblationRigDigestPinned) {
-  const ControllerPins& pins = pins_for(GetParam());
+  const pins::AblationRigPins& pins = rig_pins_for(GetParam());
   const FaultPlan clean;
   const FaultPlan noise = make_noise_plan(0.01, 0.01, 0.002, us(20));
   ClusterRig clean_rig{ablation_cell(GetParam(), clean)};
   clean_rig.run();
-  EXPECT_EQ(clean_rig.state_digest(), pins.rig_clean)
+  EXPECT_EQ(clean_rig.state_digest(), pins.clean)
       << std::hex << "0x" << clean_rig.state_digest();
   ClusterRig noise_rig{ablation_cell(GetParam(), noise)};
   noise_rig.run();
-  EXPECT_EQ(noise_rig.state_digest(), pins.rig_noise)
+  EXPECT_EQ(noise_rig.state_digest(), pins.noise)
       << std::hex << "0x" << noise_rig.state_digest();
 }
 

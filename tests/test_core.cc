@@ -18,6 +18,7 @@
 #include "core/flow_state_table.h"
 #include "core/inband_lb_policy.h"
 #include "core/server_latency_tracker.h"
+#include "pinned_digests.h"
 #include "scenario/cluster_rig.h"
 
 namespace inband {
@@ -1326,8 +1327,7 @@ TEST(AlphaShiftDifferential, MatchesLegacyWithGuardAndConfirm) {
 TEST(AlphaShiftDifferential, QuickRigDigestPinnedAcrossRefactor) {
   // The perf_dataplane --quick rig (seed 2022, 400ms, 2 servers, 2 client
   // hosts) produced this digest before the WeightController extraction; the
-  // refactored default α-shift path must reproduce it bit for bit. Keep in
-  // sync with .perf_baseline/dataplane_quick.json (rig_digest).
+  // refactored default α-shift path must reproduce it bit for bit.
   ClusterRigConfig cfg;
   cfg.mode = LbMode::kInband;
   cfg.num_servers = 2;
@@ -1342,7 +1342,8 @@ TEST(AlphaShiftDifferential, QuickRigDigestPinnedAcrossRefactor) {
   cfg.audit_interval = 0;
   ClusterRig rig{cfg};
   rig.run();
-  EXPECT_EQ(rig.state_digest(), 0x082ea340888d2502ULL);
+  EXPECT_EQ(rig.state_digest(), pins::kQuickRig)
+      << std::hex << "0x" << rig.state_digest();
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "app/message.h"
 #include "fault/fault_plan.h"
 #include "net/shard_channel.h"
+#include "pinned_digests.h"
 #include "scenario/cluster_rig.h"
 #include "scenario/sharded_rig.h"
 #include "sim/parallel.h"
@@ -280,7 +281,8 @@ TEST(ShardedRig, SingleShardOneWorkerMatchesClusterRigQuickDigest) {
   cfg.remote_clients_per_shard = 0;
   ShardedRig rig{cfg};
   rig.run();
-  EXPECT_EQ(rig.shard(0).state_digest(), 0x082ea340888d2502ULL);
+  EXPECT_EQ(rig.shard(0).state_digest(), pins::kQuickRig)
+      << std::hex << "0x" << rig.shard(0).state_digest();
 
   ClusterRig oracle{dataplane_rig_config(2, 2, ms(400))};
   oracle.run();
@@ -298,7 +300,8 @@ TEST(ShardedRig, SingleShardOneWorkerMatchesFullRigDigest) {
   cfg.remote_clients_per_shard = 0;
   ShardedRig rig{cfg};
   rig.run();
-  EXPECT_EQ(rig.shard(0).state_digest(), 0x835cb5c66c29867aULL);
+  EXPECT_EQ(rig.shard(0).state_digest(), pins::kFullRig)
+      << std::hex << "0x" << rig.shard(0).state_digest();
 }
 
 TEST(ShardedRig, DigestsInvariantAcrossWorkerCountsAndSchedSeeds) {
@@ -332,7 +335,8 @@ TEST(ShardedRig, CombinedDigestPinned) {
   // analogue of the ClusterRig digest pins: any change to the merge rule,
   // the channel protocol, the address plan, or shard seeding moves this.
   const ShardedResult got = run_sharded(sharded_config(4, 2, 0));
-  EXPECT_EQ(got.combined, 0x9ebf4e9b9cb381f7ULL);
+  EXPECT_EQ(got.combined, pins::kShardedCombined)
+      << std::hex << "0x" << got.combined;
 }
 
 TEST(ShardedRig, FaultPlanDeterministicAcrossWorkerCounts) {
