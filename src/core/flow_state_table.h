@@ -2,9 +2,12 @@
 //
 // Bounded map from FlowKey to EnsembleState with idle aging — the software
 // analogue of the per-flow BPF map an XDP load balancer would dedicate to
-// the estimator. Entries are created on first packet, refreshed on every
-// packet, dropped when the flow is seen closing, and swept when idle too
-// long; at capacity the stalest entry is evicted.
+// the estimator. An entry is created by the flow's first packet, refreshed
+// on every packet, and erased when the LB reports the flow closed (right
+// after its first FIN or RST; later packets of a closing flow never reach
+// the policy, see lb/policy.h). Flows that never close through the LB are
+// swept when idle too long; at capacity the stalest entry is evicted. So
+// the table holds about one entry per open flow.
 //
 // Entries live in an index-stable slab (fixed-size chunks, never moved, so
 // the FlowState& get_or_create() returns stays valid until that flow is
@@ -79,7 +82,8 @@ class FlowStateTable {
   // nor refreshes last-seen.
   const FlowState* find(const FlowKey& flow) const;
 
-  // Drops the flow's state (e.g. FIN observed). No-op when absent.
+  // Drops the flow's state (the flow closed) and recycles its slab entry.
+  // No-op when absent.
   void erase(const FlowKey& flow);
 
   // Amortized cleanup; cheap to call per packet.

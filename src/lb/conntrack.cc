@@ -16,7 +16,8 @@ bool ConnTracker::expired(const Entry& e, SimTime now) const {
   return now - e.last_seen >= config_.idle_timeout;
 }
 
-BackendId ConnTracker::lookup(const FlowKey& flow, SimTime now) {
+ConnTracker::Probe ConnTracker::probe(const FlowKey& flow, SimTime now,
+                                      bool closes) {
   const auto it = map_.find(flow);
   if (it == map_.end() || expired(it->second, now)) {
     if (it != map_.end()) {
@@ -24,29 +25,27 @@ BackendId ConnTracker::lookup(const FlowKey& flow, SimTime now) {
       ++expirations_;
     }
     ++misses_;
-    return kNoBackend;
+    return {};
   }
-  it->second.last_seen = now;
+  Entry& e = it->second;
+  e.last_seen = now;
   ++hits_;
-  return it->second.backend;
+  const Probe out{e.backend, e.closing};
+  if (closes && !e.closing) {
+    e.closing = true;
+    e.close_marked = now;
+  }
+  return out;
 }
 
-void ConnTracker::insert(const FlowKey& flow, BackendId backend, SimTime now) {
+void ConnTracker::insert(const FlowKey& flow, BackendId backend, SimTime now,
+                         bool closing) {
   if (map_.size() >= config_.max_entries &&
       map_.find(flow) == map_.end()) {
     evict_one(now);
   }
   // hotlint:allow(hot-growth): flow admission, bounded by max_entries above
-  map_[flow] = Entry{backend, now, false, kNoTime};
-}
-
-bool ConnTracker::mark_closing(const FlowKey& flow, SimTime now) {
-  const auto it = map_.find(flow);
-  if (it == map_.end()) return false;
-  if (it->second.closing) return false;
-  it->second.closing = true;
-  it->second.close_marked = now;
-  return true;
+  map_[flow] = Entry{backend, now, closing, closing ? now : kNoTime};
 }
 
 void ConnTracker::evict_one(SimTime now) {

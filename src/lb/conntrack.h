@@ -3,7 +3,7 @@
 // Once a flow has been routed, every later packet of that flow must reach
 // the same backend even if the routing table changes underneath (§2.5's
 // connection-to-server affinity requirement). Entries are created on SYN,
-// marked on FIN/RST, and expire by idle timeout via an amortized sweep; a
+// marked closing by the first FIN/RST (probe() with `closes`), and expire by idle timeout via an amortized sweep; a
 // capacity bound evicts the stalest entries when the table would overflow.
 #pragma once
 
@@ -34,17 +34,28 @@ class ConnTracker {
  public:
   explicit ConnTracker(ConntrackConfig config = {});
 
+  // What one probe says about a packet's flow.
+  struct Probe {
+    BackendId backend = kNoBackend;  // kNoBackend on miss
+    bool was_closing = false;  // hit on a flow already marked closing
+  };
+
+  // The LB's per-packet lookup, one probe of the table: the flow's backend
+  // and whether an earlier FIN/RST already marked it closing. A hit
+  // refreshes last-seen and, when `closes` (this packet carries FIN or RST),
+  // marks an open flow closing.
+  Probe probe(const FlowKey& flow, SimTime now, bool closes);
+
   // Returns the backend for `flow`, or kNoBackend on miss. Refreshes the
   // entry's last-seen time on hit.
-  BackendId lookup(const FlowKey& flow, SimTime now);
+  BackendId lookup(const FlowKey& flow, SimTime now) {
+    return probe(flow, now, /*closes=*/false).backend;
+  }
 
-  // Inserts or overwrites the mapping.
-  void insert(const FlowKey& flow, BackendId backend, SimTime now);
-
-  // Marks the flow as closing (entry expires after closing_linger).
-  // Returns true only on the transition (false if absent or already closing),
-  // so callers can fire close-hooks exactly once per flow.
-  bool mark_closing(const FlowKey& flow, SimTime now);
+  // Inserts or overwrites the mapping; `closing` inserts it already marked
+  // closing (a flow first seen on its FIN or RST).
+  void insert(const FlowKey& flow, BackendId backend, SimTime now,
+              bool closing = false);
 
   // Removes expired entries; called opportunistically by the LB.
   void sweep(SimTime now);

@@ -35,7 +35,9 @@ void LoadBalancer::forward(PacketRef pkt) {
   ++packets_in_;
   conntrack_.sweep(now);
 
-  BackendId backend = conntrack_.lookup(pkt->flow, now);
+  const bool closes = pkt->has(tcpflag::kFin) || pkt->has(tcpflag::kRst);
+  const ConnTracker::Probe probe = conntrack_.probe(pkt->flow, now, closes);
+  BackendId backend = probe.backend;
   bool new_flow = false;
   if (backend == kNoBackend) {
     backend = policy_->pick(pkt->flow, now);
@@ -45,20 +47,23 @@ void LoadBalancer::forward(PacketRef pkt) {
       return;
     }
     // hotlint:allow(hot-growth): ConnTracker::insert, not a container op
-    conntrack_.insert(pkt->flow, backend, now);
+    conntrack_.insert(pkt->flow, backend, now, closes);
     new_flow = true;
     ++new_flows_per_backend_[backend];
     ++new_flows_;
   }
 
-  if (pkt->has(tcpflag::kFin) || pkt->has(tcpflag::kRst)) {
-    if (conntrack_.mark_closing(pkt->flow, now)) {
+  // The policy sees a flow's packets up to and including the one that
+  // closes it, then the close; the last ACK, retransmitted FINs and late
+  // RSTs of a closing flow are forwarded on its pinned backend only, so no
+  // estimator state outlives the flow (lb/policy.h).
+  if (!probe.was_closing) {
+    policy_->on_packet(*pkt, backend, now, new_flow);
+    if (closes) {
       policy_->on_flow_closed(pkt->flow, backend, now);
       ++flows_closed_;
     }
   }
-
-  policy_->on_packet(*pkt, backend, now, new_flow);
 
   ++forwarded_per_backend_[backend];
   ++packets_forwarded_;

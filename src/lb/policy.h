@@ -1,9 +1,17 @@
 // Routing-policy interface for the LB dataplane.
 //
-// A policy decides where *new* flows go and observes every client→server
-// packet the LB forwards (after conntrack resolution, so the packet comes
+// A policy decides where *new* flows go and observes the client→server
+// packets the LB forwards (after conntrack resolution, so the packet comes
 // annotated with the backend it is bound to). The observation hook is the
 // entire vantage the paper allows: requests only, no responses.
+//
+// Per flow the LB calls, in order: on_packet for every packet from the
+// first through the one that closes the flow (its first FIN or RST), then
+// on_flow_closed once, right after on_packet for that closing packet.
+// Packets the LB forwards after the close (the last ACK, retransmitted
+// FINs, a late RST) reach neither hook, so per-flow state a policy frees in
+// on_flow_closed stays freed. A packet that arrives once conntrack has
+// forgotten the flow starts a new flow (new_flow = true).
 #pragma once
 
 #include <string>
@@ -28,8 +36,9 @@ class RoutingPolicy {
   // Backend for a new flow; kNoBackend refuses (the LB drops the packet).
   virtual BackendId pick(const FlowKey& flow, SimTime now) = 0;
 
-  // Every forwarded client→server packet, annotated with its backend and
-  // whether this packet created the flow's conntrack entry.
+  // A forwarded client→server packet of an open flow, annotated with its
+  // backend and whether this packet created the flow's conntrack entry.
+  // Includes the packet that closes the flow.
   virtual void on_packet(const Packet& pkt, BackendId backend, SimTime now,
                          bool new_flow) {
     (void)pkt;
@@ -38,7 +47,8 @@ class RoutingPolicy {
     (void)new_flow;
   }
 
-  // The flow was seen finishing (FIN or RST through the LB).
+  // The flow was seen finishing (FIN or RST through the LB), after
+  // on_packet for that packet. No on_packet for the flow follows.
   virtual void on_flow_closed(const FlowKey& flow, BackendId backend,
                               SimTime now) {
     (void)flow;

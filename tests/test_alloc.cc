@@ -151,6 +151,45 @@ TEST(AllocFree, InbandPolicySteadyStatePacketLoop) {
   EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
 }
 
+TEST(AllocFree, InbandPolicyFlowCloseRecyclesEstimatorState) {
+  // Connection churn through the policy: each flow sends a few packets and
+  // closes. The close frees the flow's slab entry with its estimator
+  // vectors' capacity, so the next flow starts without allocating.
+  SKIP_UNLESS_COUNTING();
+  BackendPool pool;
+  for (int i = 0; i < 4; ++i) {
+    pool.push_back({static_cast<BackendId>(i), "backend" + std::to_string(i),
+                    make_ipv4(10, 2, 0, static_cast<std::uint8_t>(1 + i)), 1,
+                    true});
+  }
+  InbandLbPolicy policy{pool};
+  Packet pkt;
+  pkt.payload_len = 100;
+  SimTime t = 0;
+  std::uint16_t next_port = 1024;
+  const auto one_flow = [&] {
+    pkt.flow = FlowKey{{make_ipv4(10, 0, 0, 1), next_port},
+                       {make_ipv4(10, 1, 0, 1), 80},
+                       IpProto::kTcp};
+    next_port = next_port >= 60000 ? std::uint16_t{1024}
+                                   : static_cast<std::uint16_t>(next_port + 1);
+    const BackendId b = policy.pick(pkt.flow, t);
+    for (int k = 0; k < 4; ++k) {
+      t += us(100);
+      policy.on_packet(pkt, b, t, k == 0);
+    }
+    policy.on_flow_closed(pkt.flow, b, t);
+  };
+  for (int n = 0; n < 20000; ++n) one_flow();
+  ASSERT_EQ(policy.tracked_flows(), 0u);
+  const auto before = allocs::snapshot();
+  for (int n = 0; n < 20000; ++n) one_flow();
+  const auto delta = allocs::delta(before, allocs::snapshot());
+  EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
+  EXPECT_EQ(policy.tracked_flows(), 0u);
+  EXPECT_GT(policy.samples_total(), 0u);
+}
+
 TEST(AllocFree, PacketPoolSteadyStateAcquireRelease) {
   SKIP_UNLESS_COUNTING();
   PacketPool pool;

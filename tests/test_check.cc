@@ -201,7 +201,7 @@ TEST(ConntrackAudit, CleanTablePasses) {
   ConnTracker ct;
   ct.insert(test_flow(1000), 0, ms(1));
   ct.insert(test_flow(1001), 1, ms(2));
-  ct.mark_closing(test_flow(1001), ms(3));
+  ct.probe(test_flow(1001), ms(3), /*closes=*/true);
   auditor.register_hook("ct", [&](AuditScope& s) {
     ct.audit_invariants(s, BackendId{2});
   });

@@ -20,6 +20,7 @@
 #include "check/invariant_auditor.h"
 #include "check/state_digest.h"
 #include "core/controller_zoo.h"
+#include "core/inband_lb_policy.h"
 #include "fault/fault_layer.h"
 #include "fault/fault_plan.h"
 #include "fault/server_faults.h"
@@ -470,6 +471,67 @@ TEST(FaultRobustness, NoisyRunPassesFullAudit) {
   ClusterRig rig{cfg};
   rig.run();
   EXPECT_EQ(rig.run_full_audit(), 0u);
+}
+
+// --- per-flow estimator state lifetime ---
+//
+// The LB frees a flow's estimator state when the flow closes, and packets
+// after the close do not bring it back, so the policy only ever holds
+// state for flows conntrack still tracks. Run under the `fault` label so
+// the sanitizer fault job covers the erase/recycle path under loss and
+// reordering.
+
+std::size_t open_flows(LoadBalancer& lb) {
+  std::size_t n = 0;
+  for (const std::size_t c : lb.conntrack().connections_per_backend()) n += c;
+  return n;
+}
+
+void expect_state_only_for_live_flows(ClusterRig& rig) {
+  const InbandLbPolicy& policy = *rig.inband_policy();
+  LoadBalancer& lb = rig.lb();
+  EXPECT_GT(lb.counters().value("lb.flows_closed"), 200u);  // real churn
+  EXPECT_LE(policy.tracked_flows(), lb.conntrack().size());
+  EXPECT_LE(policy.tracked_flows(), open_flows(lb));
+  EXPECT_EQ(rig.run_full_audit(), 0u);
+}
+
+TEST(FlowStateLifetime, Fig3ShapedRigHoldsStateOnlyForLiveFlows) {
+  ClusterRigConfig cfg;
+  cfg.mode = LbMode::kInband;
+  cfg.num_servers = 2;
+  cfg.num_client_hosts = 2;
+  cfg.duration = sec(1);
+  cfg.inject_time = cfg.duration / 2;
+  cfg.inject_extra = ms(1);
+  cfg.client.connections = 4;
+  cfg.client.pipeline = 4;
+  cfg.client.requests_per_conn = 50;
+  cfg.server.workers = 8;
+  cfg.inband.ensemble.epoch = ms(16);
+  cfg.inband.controller.cooldown = ms(1);
+  cfg.inband.controller.min_samples = 3;
+  cfg.audit_interval = ms(100);
+  ClusterRig rig{cfg};
+  rig.run();
+  expect_state_only_for_live_flows(rig);
+}
+
+TEST(FlowStateLifetime, ChurnRigUnderNoiseHoldsStateOnlyForLiveFlows) {
+  ClusterRigConfig cfg;
+  cfg.mode = LbMode::kInband;
+  cfg.num_servers = 4;
+  cfg.num_client_hosts = 4;
+  cfg.duration = sec(1);
+  cfg.inject_extra = 0;
+  cfg.client.connections = 16;
+  cfg.client.pipeline = 1;
+  cfg.client.requests_per_conn = 2;
+  cfg.fault = make_noise_plan(0.01, 0.01, 0.0, us(20));
+  cfg.audit_interval = ms(100);
+  ClusterRig rig{cfg};
+  rig.run();
+  expect_state_only_for_live_flows(rig);
 }
 
 // --- controller zoo under faults ---

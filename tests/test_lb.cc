@@ -2,10 +2,12 @@
 // dataplane forwarding under DSR).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <tuple>
 
+#include "core/inband_lb_policy.h"
 #include "lb/load_balancer.h"
 #include "lb/policies.h"
 #include "tcp/stack.h"
@@ -28,6 +30,8 @@ FlowKey flow_n(std::uint32_t n) {
           {make_ipv4(10, 1, 0, 1), 80},
           IpProto::kTcp};
 }
+
+constexpr std::uint8_t kFinAck = tcpflag::kFin | tcpflag::kAck;
 
 // --- Maglev ---
 
@@ -240,11 +244,37 @@ TEST(Conntrack, ClosingLingerThenGone) {
   cfg.closing_linger = ms(1);
   ConnTracker ct{cfg};
   ct.insert(flow_n(1), 0, 0);
-  EXPECT_TRUE(ct.mark_closing(flow_n(1), us(10)));
-  EXPECT_FALSE(ct.mark_closing(flow_n(1), us(10)));  // only first transition
+  EXPECT_FALSE(ct.probe(flow_n(1), us(10), /*closes=*/true).was_closing);
+  // Only the first FIN/RST is the transition.
+  EXPECT_TRUE(ct.probe(flow_n(1), us(10), /*closes=*/true).was_closing);
   // Still pinned during the linger (FIN retransmits must reach the server).
   EXPECT_EQ(ct.lookup(flow_n(1), us(500)), 0u);
   EXPECT_EQ(ct.lookup(flow_n(1), ms(3)), kNoBackend);
+}
+
+TEST(Conntrack, ProbeMarksClosingInTheSameLookup) {
+  ConnTracker ct;
+  const FlowKey f = flow_n(1);
+  const ConnTracker::Probe miss = ct.probe(f, 0, /*closes=*/false);
+  EXPECT_EQ(miss.backend, kNoBackend);
+  EXPECT_FALSE(miss.was_closing);
+  ct.insert(f, 1, 0);
+  const ConnTracker::Probe open = ct.probe(f, us(1), /*closes=*/false);
+  EXPECT_EQ(open.backend, 1u);
+  EXPECT_FALSE(open.was_closing);
+  const ConnTracker::Probe fin = ct.probe(f, us(2), /*closes=*/true);
+  EXPECT_EQ(fin.backend, 1u);
+  EXPECT_FALSE(fin.was_closing);  // this packet is the close
+  const ConnTracker::Probe ack = ct.probe(f, us(3), /*closes=*/false);
+  EXPECT_EQ(ack.backend, 1u);
+  EXPECT_TRUE(ack.was_closing);
+  EXPECT_EQ(ct.hits(), 3u);
+  EXPECT_EQ(ct.misses(), 1u);
+  EXPECT_EQ(ct.connections_per_backend().size(), 0u);
+
+  // A flow first seen on its FIN is inserted already closing.
+  ct.insert(flow_n(2), 0, us(4), /*closing=*/true);
+  EXPECT_TRUE(ct.probe(flow_n(2), us(5), /*closes=*/false).was_closing);
 }
 
 TEST(Conntrack, SweepRemovesExpired) {
@@ -277,7 +307,7 @@ TEST(Conntrack, ConnectionsPerBackendExcludesClosing) {
   ct.insert(flow_n(1), 0, 0);
   ct.insert(flow_n(2), 1, 0);
   ct.insert(flow_n(3), 1, 0);
-  ct.mark_closing(flow_n(2), 0);
+  ct.probe(flow_n(2), 0, /*closes=*/true);
   const auto counts = ct.connections_per_backend();
   ASSERT_GE(counts.size(), 2u);
   EXPECT_EQ(counts[0], 1u);
@@ -441,6 +471,79 @@ TEST(LoadBalancer, FinTriggersFlowClosedOnce) {
   rig.send(vip_flow(1000), tcpflag::kFin);  // retransmitted FIN
   EXPECT_EQ(lc->live_connections(0) + lc->live_connections(1), 0u);
   EXPECT_EQ(rig.lb->counters().value("lb.flows_closed"), 1u);
+}
+
+TEST(LoadBalancer, PolicySeesAFlowUpToItsCloseOnly) {
+  // The lb/policy.h contract: on_packet for every packet through the one
+  // that closes the flow, then on_flow_closed once; packets after the close
+  // are forwarded but reach neither hook.
+  struct Recorder final : RoutingPolicy {
+    std::string name() const override { return "recorder"; }
+    BackendId pick(const FlowKey&, SimTime) override { return 0; }
+    void on_packet(const Packet& pkt, BackendId, SimTime, bool) override {
+      log += pkt.has(tcpflag::kFin) ? "F" : pkt.has(tcpflag::kRst) ? "R" : "p";
+    }
+    void on_flow_closed(const FlowKey&, BackendId, SimTime) override {
+      log += "|";
+    }
+    std::string log;
+  };
+  auto policy = std::make_unique<Recorder>();
+  const Recorder& rec = *policy;
+  LbRig rig{1, std::move(policy)};
+  rig.send(vip_flow(1000), tcpflag::kSyn);
+  rig.send(vip_flow(1000), tcpflag::kAck);
+  rig.send(vip_flow(1000), kFinAck);
+  rig.send(vip_flow(1000), tcpflag::kAck);  // last ACK
+  rig.send(vip_flow(1000), kFinAck);        // retransmitted FIN
+  rig.send(vip_flow(1000), tcpflag::kRst);  // late RST
+  EXPECT_EQ(rec.log, "ppF|");
+  EXPECT_EQ(rig.backends[0]->received.size(), 6u);
+  EXPECT_EQ(rig.lb->counters().value("lb.flows_closed"), 1u);
+
+  // A flow whose first packet is its RST opens and closes on that packet.
+  rig.send(vip_flow(1001), tcpflag::kRst);
+  rig.send(vip_flow(1001), tcpflag::kAck);
+  EXPECT_EQ(rec.log, "ppF|R|");
+  EXPECT_EQ(rig.lb->counters().value("lb.flows_closed"), 2u);
+}
+
+TEST(LoadBalancer, ClosedFlowLeavesNoEstimatorState) {
+  // SYN -> data -> FIN -> last ACK through the in-band policy. The FIN is
+  // the flow's last estimator packet and is sampled against the flow's live
+  // state; the close then frees that state, and the last ACK does not bring
+  // it back.
+  auto policy = std::make_unique<InbandLbPolicy>(make_pool(2));
+  const InbandLbPolicy& inband = *policy;
+  LbRig rig{2, std::move(policy)};
+  const auto idle = [&rig](SimTime gap) {
+    rig.sim.run_until(rig.sim.now() + gap);
+  };
+  const FlowKey f = vip_flow(1000);
+  rig.send(f, tcpflag::kSyn);
+  rig.send(f, tcpflag::kAck);  // same batch: gap below 64 us
+  // A gap above the smallest timeout (64 us, the initial choice) ends a
+  // batch and produces one T_LB sample.
+  idle(us(300));
+  rig.send(f, tcpflag::kAck);
+  EXPECT_EQ(inband.tracked_flows(), 1u);
+  const std::uint64_t before_fin = inband.samples_total();
+  EXPECT_EQ(before_fin, 1u);
+
+  idle(us(300));
+  rig.send(f, kFinAck);
+  EXPECT_EQ(inband.samples_total(), before_fin + 1);  // sampled, live state
+  EXPECT_EQ(inband.tracked_flows(), 0u);
+  EXPECT_EQ(inband.flow_delta(f), kNoTime);
+
+  idle(us(300));
+  rig.send(f, tcpflag::kAck);  // the client's last ACK
+  EXPECT_EQ(inband.tracked_flows(), 0u);
+  EXPECT_EQ(inband.samples_total(), before_fin + 1);
+  // Still forwarded on the pinned backend: 5 packets, one backend.
+  EXPECT_EQ(std::max(rig.backends[0]->received.size(),
+                     rig.backends[1]->received.size()),
+            5u);
 }
 
 TEST(LoadBalancer, CountsPerBackend) {
