@@ -45,9 +45,9 @@ FaultLayer::FaultLayer(Simulator& sim, Network& net, FaultPlan plan,
                      link_key(b.ref.from, b.ref.to);
             });
   for (std::uint32_t i = 0; i < links_.size(); ++i) {
-    const auto [it, inserted] = link_index_.emplace(
-        link_key(links_[i].ref.from, links_[i].ref.to), i);
-    (void)it;
+    const bool inserted =
+        link_index_.emplace(link_key(links_[i].ref.from, links_[i].ref.to), i)
+            .second;
     INBAND_ASSERT(inserted, "duplicate link in fault topology");
   }
 

@@ -26,8 +26,7 @@ std::uint32_t TcpStack::make_isn() {
 
 void TcpStack::add_connection(const FlowKey& key,
                               std::unique_ptr<TcpConnection> conn) {
-  const auto [it, inserted] = conns_.emplace(key, std::move(conn));
-  (void)it;
+  const bool inserted = conns_.emplace(key, std::move(conn)).second;
   INBAND_ASSERT(inserted, "duplicate connection key");
   ++ports_in_use_[key.src.port];
 }
