@@ -70,7 +70,7 @@ class KvServer {
  private:
   struct Pending {
     TcpConnection* conn;
-    FlowKey key;  // conn's key: liveness is checked by key, not by pointer
+    FlowKey key;  // conn's key, for still_open()
     std::shared_ptr<const KvMessage> request;
   };
 
