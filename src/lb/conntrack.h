@@ -3,8 +3,9 @@
 // Once a flow has been routed, every later packet of that flow must reach
 // the same backend even if the routing table changes underneath (§2.5's
 // connection-to-server affinity requirement). Entries are created on SYN,
-// marked closing by the first FIN/RST (probe() with `closes`), and expire by idle timeout via an amortized sweep; a
-// capacity bound evicts the stalest entries when the table would overflow.
+// marked closing by the first FIN/RST (probe() with `closes`), and expire
+// by idle timeout via an amortized sweep; a capacity bound evicts the
+// stalest entries when the table would overflow.
 #pragma once
 
 #include <cstdint>
