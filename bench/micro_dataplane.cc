@@ -3,7 +3,8 @@
 //
 // google-benchmark binary: measures the per-packet cost of Algorithm 1, the
 // k=7 ensemble of Algorithm 2, the per-flow state lookup, conntrack, Maglev
-// lookup, the whole InbandLbPolicy::on_packet path, and Maglev table builds.
+// lookup, the whole InbandLbPolicy::on_packet path (also with the handshake
+// bootstrap on), and Maglev table builds.
 //
 // The *_Legacy variants run the pre-pool reference implementations from
 // check/reference_models.h on the identical op sequence, so a single run
@@ -16,7 +17,6 @@
 #include "check/reference_models.h"
 #include "core/ensemble_timeout.h"
 #include "core/fixed_timeout.h"
-#include "core/handshake_rtt.h"
 #include "core/flow_state_table.h"
 #include "core/inband_lb_policy.h"
 #include "lb/conntrack.h"
@@ -165,8 +165,14 @@ void BM_InbandPolicy_OnPacket(benchmark::State& state) {
 }
 BENCHMARK(BM_InbandPolicy_OnPacket)->Arg(64)->Arg(4096);
 
+// The handshake bootstrap as the policy runs it: per iteration one flow's
+// SYN and its handshake ACK (which yields the sample), then the flow closes,
+// so the flow table stays as small as a handshake-only stream keeps it.
 void BM_HandshakeRtt_OnPacket(benchmark::State& state) {
-  HandshakeRttEstimator est;
+  InbandPolicyConfig cfg;
+  cfg.maglev_table_size = 65537;
+  cfg.use_handshake_bootstrap = true;
+  InbandLbPolicy policy{make_pool(8), cfg};
   SimTime t = 0;
   std::uint32_t i = 0;
   Packet syn;
@@ -177,9 +183,12 @@ void BM_HandshakeRtt_OnPacket(benchmark::State& state) {
     ++i;
     t += us(10);
     syn.flow = ack.flow = flow_n(i);
-    est.on_packet(syn, t);
-    benchmark::DoNotOptimize(est.on_packet(ack, t + us(100)));
+    policy.on_packet(syn, i % 8, t, true);
+    policy.on_packet(ack, i % 8, t + us(100), false);
+    policy.on_flow_closed(syn.flow, i % 8, t + us(100));
   }
+  state.counters["handshake_samples"] =
+      static_cast<double>(policy.handshake_samples());
 }
 BENCHMARK(BM_HandshakeRtt_OnPacket);
 

@@ -182,7 +182,8 @@ int bench_main(int argc, char** argv) {
     w.kv("cross_packets", points[0].cross_packets);
     w.kv("records", points[0].records);
     for (const SweepPoint& p : points) {
-      const std::string prefix = "w" + std::to_string(p.workers);
+      std::string prefix = "w";
+      prefix += std::to_string(p.workers);
       w.kv((prefix + "_packets_per_sec").c_str(), p.packets_per_sec);
       w.kv((prefix + "_wall_ms").c_str(), p.wall_ms);
     }

@@ -171,7 +171,7 @@ class LegacyFlowStateTable {
       StateDigest e;
       e.mix(hash_flow(flow));
       e.mix_i64(entry.last_seen);
-      e.mix_i64(entry.state.min_sample);
+      e.mix_i64(entry.state.syn_at);
       EnsembleTimeout::digest_state(entry.state.ensemble, e);
       entries.add(e);
     }

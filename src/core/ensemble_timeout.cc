@@ -1,11 +1,11 @@
 #include "core/ensemble_timeout.h"
 
+#include <algorithm>
 #include <string>
 
 #include "check/invariant_auditor.h"
 #include "check/state_digest.h"
 #include "util/assert.h"
-#include "util/hotpath.h"
 
 namespace inband {
 
@@ -19,33 +19,19 @@ std::vector<SimTime> EnsembleConfig::default_timeouts() {
 EnsembleTimeout::EnsembleTimeout(EnsembleConfig config)
     : config_{std::move(config)} {
   INBAND_ASSERT(!config_.timeouts.empty());
+  INBAND_ASSERT(config_.timeouts.size() <= kMaxLadder,
+                "ladder longer than kMaxLadder");
   INBAND_ASSERT(config_.epoch > 0);
   SimTime prev = 0;
   for (SimTime d : config_.timeouts) {
     INBAND_ASSERT(d > prev, "timeouts must be strictly increasing");
     prev = d;
-    fixed_.emplace_back(d);
   }
-  if (config_.initial_choice < 0) {
-    initial_choice_ = static_cast<std::uint32_t>(fixed_.size() / 2);
-  } else {
-    INBAND_ASSERT(static_cast<std::size_t>(config_.initial_choice) <
-                  fixed_.size());
-    initial_choice_ = static_cast<std::uint32_t>(config_.initial_choice);
-  }
-}
-
-void EnsembleTimeout::init_state(EnsembleState& state, SimTime now) const {
-  INBAND_COLD_OK("per-flow estimator init: runs once per admitted flow");
-  state.per_timeout.assign(fixed_.size(), FixedTimeoutState{});
-  state.samples.assign(fixed_.size(), 0);
-  state.epoch_start = now;
-  state.chosen = initial_choice_;
-  state.initialized = true;
+  INBAND_ASSERT(config_.initial_choice < config_.timeouts.size());
 }
 
 std::size_t EnsembleTimeout::detect_cliff(
-    const std::vector<std::uint32_t>& counts) {
+    std::span<const std::uint32_t> counts) {
   INBAND_ASSERT(!counts.empty());
   // m = argmaxᵢ (Nᵢ / Nᵢ₊₁), add-one smoothed; ties to the smallest i.
   std::size_t best = 0;
@@ -69,75 +55,83 @@ void EnsembleTimeout::roll_epoch(EnsembleState& state, SimTime now) const {
   // from them let one pre-idle burst dictate the timeout a resumed flow
   // wakes up with; discard them and keep the previous choice instead.
   const bool stale = elapsed >= 2 * config_.epoch;
+  const std::span<std::uint32_t> counts{state.samples.data(), state.k};
   bool any = false;
-  for (auto n : state.samples) any = any || n > 0;
+  for (auto n : counts) any = any || n > 0;
   if (any && !stale) {
-    const std::size_t m = detect_cliff(state.samples);
+    const std::size_t m = detect_cliff(counts);
     // Only adopt a cliff whose winning timeout actually produced samples;
     // an all-quiet flow keeps its previous choice (line 10's δₘ would be
     // meaningless).
-    if (state.samples[m] > 0) {
+    if (counts[m] > 0) {
       state.chosen = static_cast<std::uint32_t>(m);
     }
   }
-  // hotlint:allow(hot-growth): resets an already-sized vector in place
-  state.samples.assign(fixed_.size(), 0);  // line 9: reset counters
+  std::fill(counts.begin(), counts.end(), 0u);  // line 9: reset counters
   // Epochs are anchored to the flow's first packet; skip any fully idle
   // epochs so epoch_start stays within one epoch of `now`.
   state.epoch_start += (elapsed / config_.epoch) * config_.epoch;
 }
 
 SimTime EnsembleTimeout::on_packet(EnsembleState& state, SimTime now) const {
-  if (!state.initialized) init_state(state, now);
+  const std::size_t k = config_.timeouts.size();
+  if (state.k == 0) {
+    // The flow's first packet starts every instance's first batch and the
+    // first epoch; it produces no sample.
+    state.last_pkt = now;
+    std::fill_n(state.batch_start.begin(), k, now);
+    state.epoch_start = now;
+    state.chosen = config_.initial_choice;
+    state.k = static_cast<std::uint32_t>(k);
+    return kNoTime;
+  }
+  INBAND_DCHECK(now >= state.last_pkt, "packet timestamps must not regress");
 
   // Line 7: "current packet is the first of a new epoch".
   if (now - state.epoch_start >= config_.epoch) {
     roll_epoch(state, now);
   }
 
-  // Lines 1–6: run every FIXEDTIMEOUT instance, count samples.
+  // Lines 1–6 of every FIXEDTIMEOUT instance: rung i opens a new batch when
+  // the gap exceeds δᵢ. The ladder is increasing, so the firing rungs are a
+  // prefix and the walk stops at the first quiet one.
+  const SimTime gap = now - state.last_pkt;
+  state.last_pkt = now;
   SimTime chosen_sample = kNoTime;
-  for (std::size_t i = 0; i < fixed_.size(); ++i) {
-    const SimTime t = fixed_[i].on_packet(state.per_timeout[i], now);
-    if (t != kNoTime) {
-      ++state.samples[i];
-      if (i == state.chosen) chosen_sample = t;  // line 12: T_LB,e
+  for (std::size_t i = 0; i < k && gap > config_.timeouts[i]; ++i) {
+    ++state.samples[i];
+    if (i == state.chosen) {
+      chosen_sample = now - state.batch_start[i];  // line 12: T_LB,e
     }
+    state.batch_start[i] = now;
   }
   return chosen_sample;
 }
 
 SimTime EnsembleTimeout::current_delta(const EnsembleState& state) const {
-  if (!state.initialized) return kNoTime;
+  if (state.k == 0) return kNoTime;
   return config_.timeouts[state.chosen];
 }
 
 void EnsembleTimeout::audit_state(const EnsembleState& state, std::size_t k,
                                   AuditScope& scope) {
-  if (!state.initialized) {
+  if (state.k == 0) {
     scope.check(state.epoch_start == kNoTime, "uninitialized-state-blank");
     return;
   }
   const SimTime now = scope.now();
   const bool layout_ok =
-      scope.check(state.per_timeout.size() == k && state.samples.size() == k,
-                  "ladder-layout",
-                  "per-flow vectors disagree with ladder size k") &&
+      scope.check(state.k == k && k <= kMaxLadder, "ladder-layout",
+                  "per-flow ladder size disagrees with k") &&
       scope.check(state.chosen < k, "chosen-in-range",
                   "chosen=" + std::to_string(state.chosen));
   scope.check(state.epoch_start != kNoTime && state.epoch_start <= now,
               "epoch-start-in-past");
+  scope.check(state.last_pkt != kNoTime && state.last_pkt <= now,
+              "last-packet-in-past");
   if (!layout_ok) return;
   for (std::size_t i = 0; i < k; ++i) {
-    const FixedTimeoutState& f = state.per_timeout[i];
-    if (f.time_last_pkt == kNoTime) {
-      scope.check(f.time_last_batch == kNoTime, "batch-needs-packet");
-      continue;
-    }
-    scope.check(f.time_last_pkt <= now, "last-packet-in-past");
-    scope.check(f.time_last_batch != kNoTime &&
-                    f.time_last_batch <= f.time_last_pkt,
-                "batch-timer-ordered",
+    scope.check(state.batch_start[i] <= state.last_pkt, "batch-timer-ordered",
                 "batch start after last packet (timeout index " +
                     std::to_string(i) + ")");
   }
@@ -145,15 +139,17 @@ void EnsembleTimeout::audit_state(const EnsembleState& state, std::size_t k,
 
 void EnsembleTimeout::digest_state(const EnsembleState& state,
                                    StateDigest& digest) {
-  digest.mix_bool(state.initialized);
+  // One (batch start, last packet) pair per rung, as if each FIXEDTIMEOUT
+  // instance kept its own last-packet time: pinned digests fold this order.
+  digest.mix_bool(state.k != 0);
   digest.mix_i64(state.epoch_start);
   digest.mix_u32(state.chosen);
-  digest.mix(state.per_timeout.size());
-  for (const auto& f : state.per_timeout) {
-    digest.mix_i64(f.time_last_batch);
-    digest.mix_i64(f.time_last_pkt);
+  digest.mix(state.k);
+  for (std::size_t i = 0; i < state.k; ++i) {
+    digest.mix_i64(state.batch_start[i]);
+    digest.mix_i64(state.last_pkt);
   }
-  for (const auto n : state.samples) digest.mix_u32(n);
+  for (std::size_t i = 0; i < state.k; ++i) digest.mix_u32(state.samples[i]);
 }
 
 }  // namespace inband

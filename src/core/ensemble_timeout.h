@@ -19,13 +19,21 @@
 //    end ("current packet is the first of a new epoch");
 //  * if an epoch produced no samples at all, the previous δ is kept;
 //  * the initial δ (before the first cliff) is configurable; the default is
-//    the middle of the ladder.
+//    the smallest rung.
+//
+// The k instances run over the same packets, and every FIXEDTIMEOUT sets
+// its time_last_pkt to the arrival time on every packet, so the k copies
+// are always equal: the per-flow state keeps one. Because the ladder is
+// strictly increasing, the rungs that open a batch on a packet are a
+// prefix — exactly those with δᵢ < gap — so on_packet stops at the first
+// rung that does not fire.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "core/fixed_timeout.h"
 #include "util/shard.h"
 #include "util/time.h"
 
@@ -34,32 +42,36 @@ namespace inband {
 class AuditScope;
 class StateDigest;
 
+// Longest ladder the inline per-flow state holds (the paper's has 7 rungs).
+inline constexpr std::size_t kMaxLadder = 8;
+
 struct EnsembleConfig {
-  // δ₁ … δₖ, strictly increasing. Paper default: 64µs, 128µs, …, 4ms.
+  // δ₁ … δₖ, strictly increasing, at most kMaxLadder rungs. Paper default:
+  // 64µs, 128µs, …, 4ms.
   std::vector<SimTime> timeouts = default_timeouts();
   // Epoch length E. Paper default: 64 ms.
   SimTime epoch = ms(64);
-  // Index into `timeouts` used before the first cliff detection; -1 => the
-  // middle of the ladder. Default 0 (the smallest δ): a sensitive start
-  // produces samples from a flow's very first batches — vital for
-  // short-lived, churned connections whose lifetime is shorter than one
-  // epoch — and the cliff corrects the choice upward at the first boundary.
-  int initial_choice = 0;
+  // Index into `timeouts` used before the first cliff detection. Default 0
+  // (the smallest δ): a sensitive start produces samples from a flow's very
+  // first batches — vital for short-lived, churned connections whose
+  // lifetime is shorter than one epoch — and the cliff corrects the choice
+  // upward at the first boundary.
+  std::uint32_t initial_choice = 0;
 
   static std::vector<SimTime> default_timeouts();
 };
 
-// Per-flow state: one FIXEDTIMEOUT state per timeout (sharing time_last_pkt
-// would be incorrect — each instance must apply Algorithm 1 independently),
-// the per-epoch sample counters, and the epoch bookkeeping.
-// Size is ~(24·k + 32) bytes; for k = 7 about 200 bytes per flow, within
-// reason for an XDP per-flow map entry.
+// Per-flow state, inline and trivially copyable: the time of the flow's
+// last packet (shared by all k FIXEDTIMEOUT instances), each instance's
+// batch start, the per-epoch sample counters, and the epoch bookkeeping.
+// 120 bytes, within reason for an XDP per-flow map entry.
 struct EnsembleState {
-  std::vector<FixedTimeoutState> per_timeout;  // k entries
-  std::vector<std::uint32_t> samples;          // Nᵢ for this epoch
+  SimTime last_pkt = kNoTime;                       // f.time_last_pkt
+  std::array<SimTime, kMaxLadder> batch_start{};    // rung i's time_last_batch
+  std::array<std::uint32_t, kMaxLadder> samples{};  // Nᵢ for this epoch
   SimTime epoch_start = kNoTime;
   std::uint32_t chosen = 0;  // index of δₑ for the current epoch
-  bool initialized = false;
+  std::uint32_t k = 0;       // ladder size; 0 until the flow's first packet
 };
 
 INBAND_SHARD_LOCAL(lb)
@@ -75,13 +87,13 @@ class EnsembleTimeout {
   SimTime current_delta(const EnsembleState& state) const;
 
   const EnsembleConfig& config() const { return config_; }
-  std::size_t k() const { return fixed_.size(); }
+  std::size_t k() const { return config_.timeouts.size(); }
 
   // Exposed for tests: the cliff rule applied to raw counts.
-  static std::size_t detect_cliff(const std::vector<std::uint32_t>& counts);
+  static std::size_t detect_cliff(std::span<const std::uint32_t> counts);
 
-  // Invariant audit for one flow's state against ladder size k: vector
-  // layouts, the chosen index, epoch bookkeeping, and each FIXEDTIMEOUT
+  // Invariant audit for one flow's state against ladder size k: the ladder
+  // size, the chosen index, epoch bookkeeping, and each FIXEDTIMEOUT
   // instance's batch-timer ordering (batch start <= last packet <= now).
   static void audit_state(const EnsembleState& state, std::size_t k,
                           AuditScope& scope);
@@ -90,12 +102,9 @@ class EnsembleTimeout {
   static void digest_state(const EnsembleState& state, StateDigest& digest);
 
  private:
-  void init_state(EnsembleState& state, SimTime now) const;
   void roll_epoch(EnsembleState& state, SimTime now) const;
 
   EnsembleConfig config_;
-  std::vector<FixedTimeout> fixed_;
-  std::uint32_t initial_choice_ = 0;
 };
 
 }  // namespace inband

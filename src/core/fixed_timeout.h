@@ -11,9 +11,10 @@
 // implicit: the very first packet of a flow initializes both timestamps and
 // produces no sample (there is no previous batch to measure from).
 //
-// State is a plain struct so callers (the per-flow table, the ensemble of
-// Algorithm 2) control layout; the algorithm object is immutable and
-// shareable.
+// State is a plain struct so callers control layout; the algorithm object
+// is immutable and shareable. The ensemble of Algorithm 2 runs k instances
+// over one flow and keeps their state in its own compact layout
+// (core/ensemble_timeout.h).
 #pragma once
 
 #include "util/shard.h"

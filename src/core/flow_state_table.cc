@@ -89,7 +89,7 @@ void FlowStateTable::remove(std::uint32_t i) {
   Node& n = node(i);
   map_.erase(n.flow);
   unlink(i);
-  n.state.clear_for_reuse();
+  n.state = FlowState{};
   n.last_seen = kNoTime;
   n.older = kNil;
   n.newer = free_;
@@ -152,8 +152,8 @@ void FlowStateTable::audit_invariants(AuditScope& scope,
     scope.check(n.flow == flow, "slab-key-matches", format_flow(flow));
     scope.check(n.last_seen != kNoTime && n.last_seen <= now,
                 "last-seen-in-past", format_flow(flow));
-    scope.check(n.state.min_sample == kNoTime || n.state.min_sample >= 0,
-                "floor-nonnegative", format_flow(flow));
+    scope.check(n.state.syn_at == kNoTime || n.state.syn_at <= n.last_seen,
+                "syn-before-last-seen", format_flow(flow));
     EnsembleTimeout::audit_state(n.state.ensemble, expected_k, scope);
   }
 }
@@ -166,7 +166,7 @@ void FlowStateTable::digest_state(StateDigest& digest) const {
     StateDigest e;
     e.mix(hash_flow(flow));
     e.mix_i64(n.last_seen);
-    e.mix_i64(n.state.min_sample);
+    e.mix_i64(n.state.syn_at);
     EnsembleTimeout::digest_state(n.state.ensemble, e);
     entries.add(e);
   }

@@ -17,12 +17,14 @@
 // on every refresh keeps the list sorted by last_seen: a refresh is an O(1)
 // unlink/append, a sweep pops expired entries off the head, and eviction
 // scans only the head's equal-last_seen group for the smallest flow key.
-// Freed slab entries go on a free list and keep their estimator vectors'
-// capacity, so a recycled entry re-initializes without allocating.
+// Freed slab entries go on a free list. FlowState is a fixed-size,
+// trivially copyable record, so recycling an entry is an assignment and
+// nothing per flow lives on the heap.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "core/ensemble_timeout.h"
@@ -42,33 +44,17 @@ struct FlowStateTableConfig {
   SimTime sweep_interval = sec(1);
 };
 
-// Everything the policy keeps per flow: the estimator state plus the
-// smallest T_LB the flow has ever produced. The floor approximates the
-// flow's uncontrollable propagation component (client→LB distance plus the
-// fixed network path), so `sample - min_sample` isolates the *inflation* the
-// LB can actually act on — the §5(1) far-client normalization.
+// Everything the policy keeps per flow, in one record: the estimator's
+// ladder state and, for the handshake bootstrap (§3's "simple
+// instantiation"), the arrival time of the flow's SYN while its handshake
+// ACK is outstanding. syn_at stays kNoTime unless
+// InbandPolicyConfig::use_handshake_bootstrap is on.
 struct FlowState {
   EnsembleState ensemble;
-  SimTime min_sample = kNoTime;
-
-  // Records a sample into the floor and returns the inflation above it.
-  SimTime record_floor(SimTime sample) {
-    if (min_sample == kNoTime || sample < min_sample) min_sample = sample;
-    return sample - min_sample;
-  }
-
-  // Back to a default-constructed FlowState, keeping the capacity of the
-  // estimator's ladder vectors so a recycled entry re-initializes in place.
-  void clear_for_reuse() {
-    auto per_timeout = std::move(ensemble.per_timeout);
-    auto samples = std::move(ensemble.samples);
-    *this = FlowState{};
-    per_timeout.clear();
-    samples.clear();
-    ensemble.per_timeout = std::move(per_timeout);
-    ensemble.samples = std::move(samples);
-  }
+  SimTime syn_at = kNoTime;
 };
+static_assert(std::is_trivially_copyable_v<FlowState>);
+static_assert(sizeof(FlowState) <= 128, "one compact per-flow map entry");
 
 INBAND_SHARD_LOCAL(lb)
 class FlowStateTable {

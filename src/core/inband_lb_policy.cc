@@ -16,7 +16,6 @@ InbandLbPolicy::InbandLbPolicy(const BackendPool& pool,
       pool_{pool},
       table_{config_.maglev_table_size, config_.maglev_seed},
       estimator_{config_.ensemble},
-      handshake_{config_.handshake},
       flows_{config_.flow_table},
       tracker_{pool.size(), config_.tracker},
       controller_{make_controller(config_)} {
@@ -106,6 +105,32 @@ void InbandLbPolicy::record_sample(const Packet& pkt, BackendId backend,
   tracker_.record(backend, now, scored);
 }
 
+SimTime InbandLbPolicy::handshake_sample(FlowState& state, const Packet& pkt,
+                                         SimTime now) {
+  if (pkt.has(tcpflag::kSyn) && !pkt.has(tcpflag::kAck)) {
+    if (state.syn_at == kNoTime) {
+      state.syn_at = now;
+    } else {
+      // SYN retransmission: the eventual ACK gap would measure the retry
+      // timeout, not the path — drop the handshake instead.
+      ++retransmitted_syns_;
+      state.syn_at = kNoTime;
+    }
+    return kNoTime;
+  }
+  if (state.syn_at == kNoTime) return kNoTime;
+  if (pkt.has(tcpflag::kRst)) {
+    state.syn_at = kNoTime;
+    return kNoTime;
+  }
+  if (!pkt.has(tcpflag::kAck) || pkt.has(tcpflag::kSyn)) return kNoTime;
+  // The first ACK after the SYN completes the handshake; later ACKs are
+  // data-path traffic.
+  const SimTime sample = now - state.syn_at;
+  state.syn_at = kNoTime;
+  return sample;
+}
+
 BackendId InbandLbPolicy::pick(const FlowKey& flow, SimTime now) {
   (void)now;
   return table_.lookup(flow);
@@ -115,16 +140,16 @@ void InbandLbPolicy::on_packet(const Packet& pkt, BackendId backend,
                                SimTime now, bool new_flow) {
   (void)new_flow;
   flows_.maybe_sweep(now);
+  FlowState& state = flows_.get_or_create(pkt.flow, now);
 
   // Fast bootstrap: a new connection's handshake yields a sample one RTT in.
   if (config_.use_handshake_bootstrap) {
-    if (const SimTime hs = handshake_.on_packet(pkt, now); hs != kNoTime) {
+    if (const SimTime hs = handshake_sample(state, pkt, now); hs != kNoTime) {
       ++handshake_samples_;
       record_sample(pkt, backend, now, hs);
     }
   }
 
-  FlowState& state = flows_.get_or_create(pkt.flow, now);
   const SimTime t_lb = estimator_.on_packet(state.ensemble, now);
   if (t_lb == kNoTime) {
     maybe_restore(now);

@@ -26,17 +26,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/controller_zoo.h"
 #include "core/ensemble_timeout.h"
-#include "core/handshake_rtt.h"
 #include "core/flow_state_table.h"
 #include "core/server_latency_tracker.h"
 #include "lb/maglev.h"
 #include "lb/policy.h"
 #include "util/hotpath.h"
+#include "util/open_hash_map.h"
 #include "util/shard.h"
 
 namespace inband {
@@ -81,11 +80,14 @@ struct InbandPolicyConfig : ControllerZooConfig {
   bool normalize_client_floor = false;
 
   // §3's "simple instantiation": also feed SYN→handshake-ACK gaps into the
-  // per-server scores. Gives every new connection a sample after one round
-  // trip, before any request batch exists — a fast bootstrap for freshly
-  // routed flows. Off by default (matches the paper's evaluated design).
+  // per-server scores. Both packets travel client→server, so the LB sees
+  // them even under DSR, and the gap is one full loop (LB→server,
+  // SYN+ACK to the client, client→LB). Gives every new connection a sample
+  // after one round trip, before any request batch exists — a fast
+  // bootstrap for freshly routed flows. The SYN time lives in the flow's
+  // FlowState, so the flow table's sweep and capacity bound it. Off by
+  // default (matches the paper's evaluated design).
   bool use_handshake_bootstrap = false;
-  HandshakeRttConfig handshake;
 
   TableUpdateMode table_update = TableUpdateMode::kShiftSlots;
 };
@@ -125,6 +127,8 @@ class InbandLbPolicy final : public RoutingPolicy {
   const std::vector<ShiftEvent>& shift_history() const { return shifts_; }
   std::uint64_t samples_total() const { return samples_total_; }
   std::uint64_t handshake_samples() const { return handshake_samples_; }
+  // Repeated SYNs that abandoned a pending handshake sample.
+  std::uint64_t retransmitted_syns() const { return retransmitted_syns_; }
   // Total slots whose owner changed across all table updates.
   std::uint64_t slots_disturbed() const { return slots_disturbed_; }
   std::size_t tracked_flows() const { return flows_.size(); }
@@ -137,6 +141,9 @@ class InbandLbPolicy final : public RoutingPolicy {
  private:
   void record_sample(const Packet& pkt, BackendId backend, SimTime now,
                      SimTime sample);
+  // Advances the flow's handshake tracking for one client→server packet;
+  // returns the SYN→handshake-ACK gap when `pkt` completes the handshake.
+  SimTime handshake_sample(FlowState& state, const Packet& pkt, SimTime now);
   // Applies the controller's decision via the configured mechanism; returns
   // the number of slots whose owner changed.
   std::size_t apply_decision(const WeightDecision& decision);
@@ -161,16 +168,16 @@ class InbandLbPolicy final : public RoutingPolicy {
   // per-packet path never walks the table.
   std::vector<double> live_shares_;
   EnsembleTimeout estimator_;
-  HandshakeRttEstimator handshake_;
   FlowStateTable flows_;
   ServerLatencyTracker tracker_;
   std::unique_ptr<WeightController> controller_;
   std::vector<ShiftEvent> shifts_;
   // Per-client minimum T_LB (the §5(1) floor); only populated when
   // normalize_client_floor is enabled.
-  std::unordered_map<Ipv4, SimTime> client_floor_;
+  OpenHashMap<Ipv4, SimTime> client_floor_;
   std::uint64_t samples_total_ = 0;
   std::uint64_t handshake_samples_ = 0;
+  std::uint64_t retransmitted_syns_ = 0;
   std::uint64_t slots_disturbed_ = 0;
   SimTime last_restore_ = 0;
 };

@@ -266,8 +266,8 @@ TEST(FlowStateAudit, DetectsBatchTimerInversion) {
   est.on_packet(state.ensemble, ms(1));
   // Batch allegedly started *after* the last packet — the exact corruption
   // a signed-overflow in SimTime arithmetic would leave behind.
-  state.ensemble.per_timeout[0].time_last_batch = ms(9);
-  state.ensemble.per_timeout[0].time_last_pkt = ms(3);
+  state.ensemble.batch_start[0] = ms(9);
+  state.ensemble.last_pkt = ms(3);
   auditor.register_hook("flows", [&](AuditScope& s) {
     table.audit_invariants(s, est.k());
   });

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "app/variability.h"
@@ -133,18 +135,22 @@ TEST(EnsembleConfig, DefaultLadderMatchesPaper) {
   for (std::size_t i = 1; i < d.size(); ++i) EXPECT_EQ(d[i], 2 * d[i - 1]);
 }
 
+std::size_t cliff(const std::vector<std::uint32_t>& counts) {
+  return EnsembleTimeout::detect_cliff(counts);
+}
+
 TEST(EnsembleCliff, PicksLargestDrop) {
   // Counts: 100, 95, 90, 10, 9 -> cliff between index 2 and 3 -> m = 2.
-  EXPECT_EQ(EnsembleTimeout::detect_cliff({100, 95, 90, 10, 9}), 2u);
+  EXPECT_EQ(cliff({100, 95, 90, 10, 9}), 2u);
 }
 
 TEST(EnsembleCliff, TieBreaksToSmallestIndex) {
-  EXPECT_EQ(EnsembleTimeout::detect_cliff({40, 20, 10, 5}), 0u);
+  EXPECT_EQ(cliff({40, 20, 10, 5}), 0u);
 }
 
 TEST(EnsembleCliff, HandlesZeros) {
-  EXPECT_EQ(EnsembleTimeout::detect_cliff({50, 0, 0}), 0u);
-  EXPECT_EQ(EnsembleTimeout::detect_cliff({0, 0, 0}), 0u);
+  EXPECT_EQ(cliff({50, 0, 0}), 0u);
+  EXPECT_EQ(cliff({0, 0, 0}), 0u);
 }
 
 // Feeds a periodic batched arrival pattern: `per_batch` packets spaced
@@ -293,51 +299,71 @@ TEST(Ensemble, CustomLadder) {
 }
 
 TEST(Ensemble, PerFlowMemoryFootprintDocumented) {
-  // Guard against the per-flow state silently ballooning: an XDP map entry
-  // must stay small. (vector overhead excluded; elements counted.)
-  EnsembleTimeout est{{}};
-  EnsembleState s;
-  est.on_packet(s, 0);
-  const std::size_t bytes =
-      s.per_timeout.size() * sizeof(FixedTimeoutState) +
-      s.samples.size() * sizeof(std::uint32_t) + sizeof(SimTime) +
-      sizeof(std::uint32_t) + sizeof(bool);
-  EXPECT_LE(bytes, 256u);
+  // Guard against the per-flow state silently ballooning: the whole
+  // per-flow record is one fixed-size XDP-style map entry, with nothing
+  // behind it on the heap.
+  EXPECT_LE(sizeof(FlowState), 128u);
+  EXPECT_TRUE(std::is_trivially_copyable_v<FlowState>);
 }
 
-TEST(Ensemble, K1MatchesFixedTimeoutExactly) {
-  // Differential check: a degenerate ladder of one timeout can never move
-  // its choice (the cliff always selects index 0), so EnsembleTimeout must
-  // reduce to FixedTimeout with the same delta — identical samples on the
-  // same packets, including kNoTime on the rest.
-  constexpr SimTime kDelta = us(256);
-  EnsembleConfig cfg;
-  cfg.timeouts = {kDelta};
-  cfg.initial_choice = 0;
-  const EnsembleTimeout ensemble{cfg};
-  ASSERT_EQ(ensemble.k(), 1u);
-  const FixedTimeout fixed{kDelta};
+TEST(Ensemble, LadderMatchesIndependentFixedTimeouts) {
+  // Differential check of Algorithm 2 against Algorithm 1: k independent
+  // FixedTimeouts run beside the ensemble on the same bursty stream, and
+  // every packet's ensemble sample must equal the sample of the rung at the
+  // ensemble's current δ (kNoTime included). The per-rung batch starts and
+  // the shared last-packet time must match the k instances' state too.
+  const std::vector<std::vector<SimTime>> ladders = {
+      {us(256)},
+      {us(100), us(400), ms(1)},
+      EnsembleConfig::default_timeouts(),
+  };
+  for (const auto& ladder : ladders) {
+    SCOPED_TRACE("k=" + std::to_string(ladder.size()));
+    EnsembleConfig cfg;
+    cfg.timeouts = ladder;
+    const EnsembleTimeout ensemble{cfg};
+    ASSERT_EQ(ensemble.k(), ladder.size());
+    std::vector<FixedTimeout> fixed;
+    for (const SimTime d : ladder) fixed.emplace_back(d);
+    std::vector<FixedTimeoutState> fs(ladder.size());
+    std::vector<SimTime> want(ladder.size());
 
-  // A bursty synthetic stream: batches of 1–8 packets with ~20us intra-batch
-  // gaps, separated by 100us–5ms idle periods, crossing many epochs.
-  Rng rng{20220815};
-  EnsembleState es;
-  FixedTimeoutState fs;
-  SimTime now = 0;
-  for (int batch = 0; batch < 2000; ++batch) {
-    now += static_cast<SimTime>(rng.uniform_u64(
-        static_cast<std::uint64_t>(us(100)),
-        static_cast<std::uint64_t>(ms(5))));
-    const int pkts = static_cast<int>(rng.uniform_u64(1, 8));
-    for (int p = 0; p < pkts; ++p) {
-      EXPECT_EQ(ensemble.on_packet(es, now), fixed.on_packet(fs, now))
-          << "batch " << batch << " pkt " << p << " t " << now;
+    // Batches of 1–8 packets with ~20us intra-batch gaps, separated by
+    // 100us–5ms idle periods, crossing many epochs.
+    Rng rng{20220815};
+    EnsembleState es;
+    std::vector<bool> chosen_seen(ladder.size(), false);
+    SimTime now = 0;
+    for (int batch = 0; batch < 2000; ++batch) {
       now += static_cast<SimTime>(rng.uniform_u64(
-          0, static_cast<std::uint64_t>(us(40))));
+          static_cast<std::uint64_t>(us(100)),
+          static_cast<std::uint64_t>(ms(5))));
+      const int pkts = static_cast<int>(rng.uniform_u64(1, 8));
+      for (int p = 0; p < pkts; ++p) {
+        const SimTime got = ensemble.on_packet(es, now);
+        for (std::size_t i = 0; i < ladder.size(); ++i) {
+          want[i] = fixed[i].on_packet(fs[i], now);
+          ASSERT_EQ(es.batch_start[i], fs[i].time_last_batch);
+          ASSERT_EQ(es.last_pkt, fs[i].time_last_pkt);
+        }
+        const auto rung = static_cast<std::size_t>(
+            std::find(ladder.begin(), ladder.end(),
+                      ensemble.current_delta(es)) -
+            ladder.begin());
+        ASSERT_LT(rung, ladder.size());
+        chosen_seen[rung] = true;
+        ASSERT_EQ(got, want[rung])
+            << "batch " << batch << " pkt " << p << " t " << now;
+        now += static_cast<SimTime>(rng.uniform_u64(
+            0, static_cast<std::uint64_t>(us(40))));
+      }
+    }
+    // The multi-rung ladders must actually move their choice, or the
+    // differential would only ever compare the initial rung.
+    if (ladder.size() > 1) {
+      EXPECT_GT(std::count(chosen_seen.begin(), chosen_seen.end(), true), 1);
     }
   }
-  EXPECT_EQ(es.chosen, 0u);
-  EXPECT_EQ(ensemble.current_delta(es), kDelta);
 }
 
 // --- flow state table ---
@@ -431,7 +457,7 @@ TEST(FlowStateTable, MatchesLegacyScanOnRandomChurn) {
       old.maybe_sweep(now);
       auto& a = neu.get_or_create(flow_n(n), now);
       auto& b = old.get_or_create(flow_n(n), now);
-      a.min_sample = b.min_sample = now % 977;
+      a.syn_at = b.syn_at = now % 977;
     } else if (roll < 90 || step < 10000) {
       neu.erase(flow_n(n));
       old.erase(flow_n(n));
@@ -772,16 +798,6 @@ TEST(InbandPolicy, FlowDeltaLeavesTheFlowTableAlone) {
 
 // --- flow-floor normalization (§5(1) extension) ---
 
-TEST(FlowFloor, RecordFloorTracksMinimumAndInflation) {
-  FlowState fs;
-  EXPECT_EQ(fs.record_floor(us(300)), 0);        // first sample is the floor
-  EXPECT_EQ(fs.min_sample, us(300));
-  EXPECT_EQ(fs.record_floor(us(450)), us(150));  // inflation above floor
-  EXPECT_EQ(fs.record_floor(us(250)), 0);        // new, lower floor
-  EXPECT_EQ(fs.min_sample, us(250));
-  EXPECT_EQ(fs.record_floor(us(1250)), us(1000));
-}
-
 TEST(InbandPolicy, ClientFloorNormalizationCancelsClientDistance) {
   BackendPool pool{{0, "s0", make_ipv4(10, 2, 0, 1), 1, true},
                    {1, "s1", make_ipv4(10, 2, 0, 2), 1, true}};
@@ -986,66 +1002,82 @@ Packet ack_for(const FlowKey& f) {
   return p;
 }
 
+// A one-backend policy with the handshake bootstrap on. The ensemble starts
+// on its largest rung (4096us), which none of these gaps below 4ms exceed,
+// so every sample the tracker sees is a handshake sample.
+InbandLbPolicy handshake_policy() {
+  InbandPolicyConfig cfg;
+  cfg.maglev_table_size = 251;
+  cfg.use_handshake_bootstrap = true;
+  cfg.ensemble.initial_choice = static_cast<std::uint32_t>(
+      EnsembleConfig::default_timeouts().size() - 1);
+  return InbandLbPolicy{
+      BackendPool{{0, "s0", make_ipv4(10, 2, 0, 1), 1, true}}, cfg};
+}
+
 TEST(HandshakeRtt, MeasuresSynToAckGap) {
-  HandshakeRttEstimator est;
-  EXPECT_EQ(est.on_packet(syn_for(flow_n(1)), us(100)), kNoTime);
-  EXPECT_EQ(est.on_packet(ack_for(flow_n(1)), us(350)), us(250));
-  EXPECT_EQ(est.samples_emitted(), 1u);
-  EXPECT_EQ(est.pending(), 0u);
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(syn_for(flow_n(1)), 0, us(100), true);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
+  policy.on_packet(ack_for(flow_n(1)), 0, us(350), false);
+  EXPECT_EQ(policy.handshake_samples(), 1u);
+  EXPECT_EQ(policy.tracker().samples(0), 1u);
+  EXPECT_NEAR(policy.tracker().score(0, us(350)).value(),
+              static_cast<double>(us(250)), 1.0);
 }
 
 TEST(HandshakeRtt, OnlyFirstAckCounts) {
-  HandshakeRttEstimator est;
-  est.on_packet(syn_for(flow_n(1)), 0);
-  EXPECT_NE(est.on_packet(ack_for(flow_n(1)), us(200)), kNoTime);
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(syn_for(flow_n(1)), 0, 0, true);
+  policy.on_packet(ack_for(flow_n(1)), 0, us(200), false);
+  EXPECT_EQ(policy.handshake_samples(), 1u);
   // Later ACKs of the same flow are data-path traffic, not handshakes.
-  EXPECT_EQ(est.on_packet(ack_for(flow_n(1)), us(400)), kNoTime);
+  policy.on_packet(ack_for(flow_n(1)), 0, us(400), false);
+  EXPECT_EQ(policy.handshake_samples(), 1u);
 }
 
 TEST(HandshakeRtt, UnknownAckIgnored) {
-  HandshakeRttEstimator est;
-  EXPECT_EQ(est.on_packet(ack_for(flow_n(9)), us(1)), kNoTime);
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(ack_for(flow_n(9)), 0, us(1), false);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
+  EXPECT_EQ(policy.tracker().samples(0), 0u);
 }
 
 TEST(HandshakeRtt, SynRetransmissionAbandonsSample) {
-  HandshakeRttEstimator est;
-  est.on_packet(syn_for(flow_n(1)), 0);
-  est.on_packet(syn_for(flow_n(1)), ms(50));  // retransmitted SYN
-  EXPECT_EQ(est.retransmitted_syns(), 1u);
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(syn_for(flow_n(1)), 0, 0, true);
+  policy.on_packet(syn_for(flow_n(1)), 0, ms(50), false);  // retransmitted
+  EXPECT_EQ(policy.retransmitted_syns(), 1u);
   // The eventual ACK must not produce a (RTO-inflated) sample.
-  EXPECT_EQ(est.on_packet(ack_for(flow_n(1)), ms(51)), kNoTime);
+  policy.on_packet(ack_for(flow_n(1)), 0, ms(51), false);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
 }
 
 TEST(HandshakeRtt, RstClearsPending) {
-  HandshakeRttEstimator est;
-  est.on_packet(syn_for(flow_n(1)), 0);
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(syn_for(flow_n(1)), 0, 0, true);
   Packet rst;
   rst.flow = flow_n(1);
   rst.flags = tcpflag::kRst;
-  est.on_packet(rst, us(10));
-  EXPECT_EQ(est.pending(), 0u);
-  EXPECT_EQ(est.on_packet(ack_for(flow_n(1)), us(20)), kNoTime);
+  policy.on_packet(rst, 0, us(10), false);
+  policy.on_packet(ack_for(flow_n(1)), 0, us(20), false);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
 }
 
-TEST(HandshakeRtt, StaleHandshakesSweptOut) {
-  HandshakeRttConfig cfg;
-  cfg.pending_timeout = ms(10);
-  HandshakeRttEstimator est{cfg};
-  est.on_packet(syn_for(flow_n(1)), 0);
-  EXPECT_EQ(est.pending(), 1u);
-  // A much later packet from another flow triggers the sweep.
-  est.on_packet(syn_for(flow_n(2)), ms(30));
-  EXPECT_EQ(est.pending(), 1u);  // only the fresh one remains
-}
-
-TEST(HandshakeRtt, CapacityBounded) {
-  HandshakeRttConfig cfg;
-  cfg.max_pending = 8;
-  HandshakeRttEstimator est{cfg};
-  for (std::uint32_t i = 0; i < 50; ++i) {
-    est.on_packet(syn_for(flow_n(i)), static_cast<SimTime>(i));
-  }
-  EXPECT_LE(est.pending(), 8u);
+TEST(HandshakeRtt, ClosedFlowLeavesNoArmedSyn) {
+  // The SYN time lives in the flow's entry, so closing the flow drops it:
+  // when the key returns, its SYN starts a fresh handshake instead of
+  // counting as a retransmission of the closed flow's.
+  InbandLbPolicy policy = handshake_policy();
+  policy.on_packet(syn_for(flow_n(1)), 0, 0, true);
+  policy.on_flow_closed(flow_n(1), 0, us(5));
+  EXPECT_EQ(policy.tracked_flows(), 0u);
+  policy.on_packet(syn_for(flow_n(1)), 0, ms(1), true);
+  EXPECT_EQ(policy.retransmitted_syns(), 0u);
+  policy.on_packet(ack_for(flow_n(1)), 0, ms(1) + us(300), false);
+  EXPECT_EQ(policy.handshake_samples(), 1u);
+  EXPECT_NEAR(policy.tracker().score(0, ms(1) + us(300)).value(),
+              static_cast<double>(us(300)), 1.0);
 }
 
 TEST(InbandPolicy, HandshakeBootstrapFeedsTracker) {

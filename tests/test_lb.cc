@@ -380,9 +380,10 @@ struct LbRig {
       : net{sim} {
     pool = make_pool(n_backends);
     for (int i = 0; i < n_backends; ++i) {
+      std::string name = "b";
+      name += std::to_string(i);
       backends.push_back(std::make_unique<RecordingHost>(
-          sim, net, pool[static_cast<std::size_t>(i)].addr,
-          "b" + std::to_string(i)));
+          sim, net, pool[static_cast<std::size_t>(i)].addr, std::move(name)));
     }
     client = std::make_unique<RecordingHost>(sim, net, make_ipv4(10, 0, 0, 1),
                                              "client");

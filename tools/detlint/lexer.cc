@@ -200,8 +200,9 @@ class Lexer {
     ++pos_;  // opening quote
     const std::size_t delim_begin = pos_;
     while (pos_ < src_.size() && src_[pos_] != '(') ++pos_;
-    const std::string closer =
-        ")" + std::string(src_.substr(delim_begin, pos_ - delim_begin)) + "\"";
+    std::string closer = ")";
+    closer.append(src_.substr(delim_begin, pos_ - delim_begin));
+    closer += '"';
     if (pos_ < src_.size()) ++pos_;  // opening paren
     const std::size_t begin = pos_;
     const std::size_t end = src_.find(closer, pos_);
