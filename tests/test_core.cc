@@ -306,6 +306,41 @@ TEST(Ensemble, PerFlowMemoryFootprintDocumented) {
   EXPECT_TRUE(std::is_trivially_copyable_v<FlowState>);
 }
 
+TEST(Ensemble, K1MatchesFixedTimeoutExactly) {
+  // Differential check: a degenerate ladder of one timeout can never move
+  // its choice (the cliff always selects index 0), so EnsembleTimeout must
+  // reduce to FixedTimeout with the same delta — identical samples on the
+  // same packets, including kNoTime on the rest.
+  constexpr SimTime kDelta = us(256);
+  EnsembleConfig cfg;
+  cfg.timeouts = {kDelta};
+  cfg.initial_choice = 0;
+  const EnsembleTimeout ensemble{cfg};
+  ASSERT_EQ(ensemble.k(), 1u);
+  const FixedTimeout fixed{kDelta};
+
+  // A bursty synthetic stream: batches of 1–8 packets with ~20us intra-batch
+  // gaps, separated by 100us–5ms idle periods, crossing many epochs.
+  Rng rng{20220815};
+  EnsembleState es;
+  FixedTimeoutState fs;
+  SimTime now = 0;
+  for (int batch = 0; batch < 2000; ++batch) {
+    now += static_cast<SimTime>(rng.uniform_u64(
+        static_cast<std::uint64_t>(us(100)),
+        static_cast<std::uint64_t>(ms(5))));
+    const int pkts = static_cast<int>(rng.uniform_u64(1, 8));
+    for (int p = 0; p < pkts; ++p) {
+      EXPECT_EQ(ensemble.on_packet(es, now), fixed.on_packet(fs, now))
+          << "batch " << batch << " pkt " << p << " t " << now;
+      now += static_cast<SimTime>(rng.uniform_u64(
+          0, static_cast<std::uint64_t>(us(40))));
+    }
+  }
+  EXPECT_EQ(es.chosen, 0u);
+  EXPECT_EQ(ensemble.current_delta(es), kDelta);
+}
+
 TEST(Ensemble, LadderMatchesIndependentFixedTimeouts) {
   // Differential check of Algorithm 2 against Algorithm 1: k independent
   // FixedTimeouts run beside the ensemble on the same bursty stream, and
@@ -1078,6 +1113,45 @@ TEST(HandshakeRtt, ClosedFlowLeavesNoArmedSyn) {
   EXPECT_EQ(policy.handshake_samples(), 1u);
   EXPECT_NEAR(policy.tracker().score(0, ms(1) + us(300)).value(),
               static_cast<double>(us(300)), 1.0);
+}
+
+TEST(HandshakeRtt, StaleHandshakesSweptOut) {
+  // A SYN whose ACK never comes is not kept forever: its flow entry (and
+  // the SYN time in it) goes with the flow table's idle sweep.
+  InbandPolicyConfig cfg;
+  cfg.maglev_table_size = 251;
+  cfg.use_handshake_bootstrap = true;
+  cfg.flow_table.idle_timeout = ms(10);
+  cfg.flow_table.sweep_interval = ms(1);
+  InbandLbPolicy policy{
+      BackendPool{{0, "s0", make_ipv4(10, 2, 0, 1), 1, true}}, cfg};
+  policy.on_packet(syn_for(flow_n(1)), 0, 0, true);
+  EXPECT_EQ(policy.tracked_flows(), 1u);
+  // A much later packet from another flow triggers the sweep.
+  policy.on_packet(syn_for(flow_n(2)), 0, ms(30), true);
+  EXPECT_EQ(policy.tracked_flows(), 1u);  // only the fresh one remains
+  // The swept flow's late ACK finds no armed SYN.
+  policy.on_packet(ack_for(flow_n(1)), 0, ms(31), false);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
+}
+
+TEST(HandshakeRtt, CapacityBounded) {
+  // Outstanding handshakes are bounded by the flow table's capacity.
+  InbandPolicyConfig cfg;
+  cfg.maglev_table_size = 251;
+  cfg.use_handshake_bootstrap = true;
+  cfg.flow_table.max_entries = 8;
+  InbandLbPolicy policy{
+      BackendPool{{0, "s0", make_ipv4(10, 2, 0, 1), 1, true}}, cfg};
+  for (std::uint32_t i = 0; i < 50; ++i) {
+    policy.on_packet(syn_for(flow_n(i)), 0, static_cast<SimTime>(i), true);
+  }
+  EXPECT_LE(policy.tracked_flows(), 8u);
+  // An evicted flow's ACK yields nothing; a surviving flow's still counts.
+  policy.on_packet(ack_for(flow_n(0)), 0, us(300), false);
+  EXPECT_EQ(policy.handshake_samples(), 0u);
+  policy.on_packet(ack_for(flow_n(49)), 0, us(301), false);
+  EXPECT_EQ(policy.handshake_samples(), 1u);
 }
 
 TEST(InbandPolicy, HandshakeBootstrapFeedsTracker) {
