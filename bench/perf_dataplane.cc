@@ -125,7 +125,6 @@ EqResult eq_steady(std::uint64_t iterations, std::size_t pending) {
     q.push(t + 1 + static_cast<SimTime>(rng.next() % 1000), ev_payload);
   }
   const double secs = wall_seconds(start, Clock::now());
-  while (!q.empty()) q.pop();
   if (fired == 0) std::abort();  // keep the loop observable
   EqResult r;
   r.events_per_sec = static_cast<double>(iterations) / secs;

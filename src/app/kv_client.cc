@@ -13,10 +13,6 @@ KvClient::KvClient(TcpHost& host, KvClientConfig config)
   INBAND_ASSERT(config_.pipeline > 0);
   INBAND_ASSERT(config_.keyspace > 0);
   INBAND_ASSERT(config_.get_ratio >= 0.0 && config_.get_ratio <= 1.0);
-  if (config_.zipf_s > 0.0) {
-    zipf_ = std::make_unique<ZipfDistribution>(config_.keyspace,
-                                               config_.zipf_s);
-  }
   slots_.resize(static_cast<std::size_t>(config_.connections));
 }
 
@@ -82,8 +78,7 @@ void KvClient::issue_request(int slot_index) {
   req->kind = KvKind::kRequest;
   req->op = rng_.bernoulli(config_.get_ratio) ? KvOp::kGet : KvOp::kSet;
   req->id = next_request_id_++;
-  req->key = zipf_ ? (*zipf_)(rng_) - 1
-                   : rng_.uniform_u64(0, config_.keyspace - 1);
+  req->key = rng_.uniform_u64(0, config_.keyspace - 1);
   req->value_len = req->op == KvOp::kSet ? config_.value_len : 0;
   req->created_at = host_.sim().now();
   const std::uint32_t wire = kv_request_wire_size(req->op, req->value_len);
@@ -143,8 +138,8 @@ void KvClient::on_conn_closed(int slot_index, bool reset) {
   slot.conn = nullptr;
   if (reset) ++connection_failures_;
   if (!running_) return;
-  const SimTime delay = config_.reconnect_delay;
-  host_.sim().schedule_after(delay, [this, slot_index] {
+  // Reconnect from a fresh event rather than inside the close callback.
+  host_.sim().schedule_after(0, [this, slot_index] {
     if (running_ &&
         slots_[static_cast<std::size_t>(slot_index)].conn == nullptr) {
       open_connection(slot_index);

@@ -70,19 +70,15 @@ void KvServer::on_request(TcpConnection& conn,
 }
 
 SimTime KvServer::service_time(const KvMessage& request) {
-  const SimTime base =
+  SimTime svc =
       request.op == KvOp::kGet ? config_.get_base : config_.set_base;
-  const SimTime copy = request.op == KvOp::kSet
-                           ? config_.per_byte * request.value_len
-                           : 0;
-  SimTime svc = base + copy;
   if (config_.service_sigma > 0.0) {
     svc = static_cast<SimTime>(rng_.lognormal_median(
         static_cast<double>(svc), config_.service_sigma));
   }
   const SimTime now = host_.sim().now();
   for (auto& inj : injectors_) {
-    svc += inj->extra_service_time(now, base + copy);
+    svc += inj->extra_service_time(now);
   }
   return std::max<SimTime>(svc, 1);
 }

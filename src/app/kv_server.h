@@ -3,8 +3,7 @@
 // Serves GET/SET over the TCP model with a bounded worker pool: up to
 // `workers` requests are processed concurrently; the rest queue FIFO, so
 // latency rises with load exactly the way a thread-per-worker cache does.
-// Per-request service time is
-//     base(op) + per_byte * value_len, jittered log-normally,
+// Per-request service time is the op's base cost, jittered log-normally,
 // plus whatever the attached VariabilityInjectors contribute (§2.2).
 //
 // Under direct server return the server answers straight to the client; in
@@ -33,8 +32,7 @@ struct KvServerConfig {
   int workers = 4;
   SimTime get_base = us(15);
   SimTime set_base = us(20);
-  SimTime per_byte = 0;           // ns per value byte (copy cost)
-  double service_sigma = 0.05;    // log-normal jitter of the base cost
+  double service_sigma = 0.05;  // log-normal jitter of the base cost
   std::uint64_t seed = 1;
 };
 

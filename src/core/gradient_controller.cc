@@ -41,7 +41,7 @@ void GradientDescentController::weigh(const std::vector<BackendScore>& view,
   for (const auto& s : view) {
     const double g = (s.score_ns - mean) / scale;
     const std::uint64_t decay_epochs =
-        std::min(epochs_[s.backend], config_.max_decay_epochs);
+        std::min(epochs_[s.backend], kMaxDecayEpochs);
     const double eta =
         config_.decay_step
             ? config_.step / std::sqrt(1.0 + static_cast<double>(decay_epochs))

@@ -15,7 +15,7 @@
 //   w_i <- w_i - eta_i * g_i,  eta_i = step / sqrt(1 + epochs_i)
 //   w   <- floor + project_onto_simplex(w - floor)      (mass 1 - n*floor)
 //
-// The `min_weight` floor keeps every healthy server sampled (no starvation,
+// The per-backend floor keeps every healthy server sampled (no starvation,
 // and the gradient stays observable for recovered servers).
 #pragma once
 
@@ -30,18 +30,19 @@ namespace inband {
 struct GradientDescentConfig : EpochLawConfig {
   double step = 0.3;       // base step size eta_0 (on normalized gradients)
   bool decay_step = true;  // eta_i = step / sqrt(1 + epochs_i); false: constant
-  // Decay cap: epochs_i saturates here, flooring eta_i at
-  // step / sqrt(1 + max_decay_epochs). Unbounded decay is correct for the
-  // source papers' static programs but paralyzes the law in a non-stationary
-  // system — after a long calm stretch eta falls below the deadband and a
-  // fault (stall, flap) can no longer be corrected. 63 floors eta at step/8.
-  std::uint64_t max_decay_epochs = 63;
 };
 
 INBAND_SHARD_LOCAL(lb)
 class GradientDescentController final : public EpochWeightLaw {
  public:
   explicit GradientDescentController(GradientDescentConfig config = {});
+
+  // Decay cap: epochs_i saturates here, flooring eta_i at
+  // step / sqrt(1 + kMaxDecayEpochs). Unbounded decay is correct for the
+  // source papers' static programs but paralyzes the law in a non-stationary
+  // system — after a long calm stretch eta falls below the deadband and a
+  // fault (stall, flap) can no longer be corrected. 63 floors eta at step/8.
+  static constexpr std::uint64_t kMaxDecayEpochs = 63;
 
   const char* name() const override { return "gradient"; }
 

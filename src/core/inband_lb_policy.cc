@@ -14,7 +14,7 @@ InbandLbPolicy::InbandLbPolicy(const BackendPool& pool,
                                InbandPolicyConfig config)
     : config_{std::move(config)},
       pool_{pool},
-      table_{config_.maglev_table_size, config_.maglev_seed},
+      table_{config_.maglev_table_size},
       estimator_{config_.ensemble},
       flows_{config_.flow_table},
       tracker_{pool.size(), config_.tracker},
@@ -46,7 +46,7 @@ std::size_t InbandLbPolicy::rebuild_from_targets() {
   bool any = false;
   for (const auto& b : weighted) any = any || (b.healthy && b.weight > 0);
   if (!any) return 0;
-  MaglevTable rebuilt{table_.table_size(), config_.maglev_seed};
+  MaglevTable rebuilt{table_.table_size()};
   rebuilt.build(weighted);
   const std::size_t changed = table_.diff(rebuilt);
   table_ = rebuilt;
@@ -165,8 +165,9 @@ void InbandLbPolicy::on_packet(const Packet& pkt, BackendId backend,
       shifts_.push_back({now, decision->from, moved, decision->worst_score_ns,
                          decision->best_score_ns});
       refresh_live_shares();
-      LOG_DEBUG() << controller_->name() << ": moved " << moved
-                  << " slots off backend " << decision->from << " (worst "
+      LOG_DEBUG() << '[' << format_duration(now) << "] " << controller_->name()
+                  << ": moved " << moved << " slots off backend "
+                  << decision->from << " (worst "
                   << decision->worst_score_ns / 1e3 << "us vs best "
                   << decision->best_score_ns / 1e3 << "us)";
     }

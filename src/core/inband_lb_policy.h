@@ -60,7 +60,6 @@ struct InbandPolicyConfig : ControllerZooConfig {
   LatencyTrackerConfig tracker;
   FlowStateTableConfig flow_table;
   std::uint64_t maglev_table_size = 65537;
-  std::uint64_t maglev_seed = 0xab5e1ef7ULL;
 
   // Optional restore: every `restore_interval` without a shift, move
   // `restore_step` of the table from the largest owner back toward the

@@ -9,9 +9,7 @@
 namespace inband {
 
 KnapsackLbController::KnapsackLbController(KnapsackLbConfig config)
-    : EpochWeightLaw{config}, config_{config} {
-  INBAND_ASSERT(config_.weight_step > 0.0 && config_.weight_step <= 1.0);
-}
+    : EpochWeightLaw{config} {}
 
 void KnapsackLbController::fit(Gauge& g) const {
   // Least squares over the ring. A ring whose weights barely vary carries no
@@ -69,9 +67,10 @@ void KnapsackLbController::weigh(const std::vector<BackendScore>& view,
   // time to the backend whose *predicted* latency at its next weight level is
   // lowest. With linear curves this greedily minimizes the max predicted
   // latency increase per unit of weight placed.
+  constexpr double kWeightStep = 0.05;  // greedy allocation granularity
   const double budget = 1.0 - static_cast<double>(n) * floor;
   const int steps =
-      std::max(1, static_cast<int>(std::lround(budget / config_.weight_step)));
+      std::max(1, static_cast<int>(std::lround(budget / kWeightStep)));
   const double unit = budget / steps;
   next.assign(n, floor);
   for (int s = 0; s < steps; ++s) {

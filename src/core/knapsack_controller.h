@@ -15,8 +15,8 @@
 //     the same weight — falls back to b = score, a = 0, so the solve
 //     waterfills toward w_i proportional to 1/score_i until real slope
 //     information reappears).
-//  3. Solve greedily: start every backend at the `min_weight` floor and hand
-//     out the remaining mass in `weight_step` units, each unit to the
+//  3. Solve greedily: start every backend at the per-backend floor and hand
+//     out the remaining mass in steps of about 0.05, each unit to the
 //     backend with the lowest *predicted* latency at its next weight level.
 //     Ties break toward the lower backend id (determinism).
 //
@@ -40,7 +40,6 @@ struct KnapsackLbConfig : EpochLawConfig {
     epoch = ms(4);  // gauge + solve interval
     deadband = 0.04;
   }
-  double weight_step = 0.05;  // greedy allocation granularity
 };
 
 INBAND_SHARD_LOCAL(lb)
@@ -50,7 +49,6 @@ class KnapsackLbController final : public EpochWeightLaw {
 
   const char* name() const override { return "knapsack"; }
 
-  const KnapsackLbConfig& config() const { return config_; }
   // Fitted latency-vs-weight slope of one backend (ns per unit weight);
   // 0 until gauged. Introspection for tests/benches.
   double gauged_slope(BackendId backend) const;
@@ -72,7 +70,6 @@ class KnapsackLbController final : public EpochWeightLaw {
   void digest_law(StateDigest& digest) const override;
   void fit(Gauge& g) const;
 
-  KnapsackLbConfig config_;
   std::vector<Gauge> gauges_;
 };
 

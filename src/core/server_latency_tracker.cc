@@ -14,8 +14,13 @@ ServerLatencyTracker::ServerLatencyTracker(std::size_t backend_count,
   INBAND_ASSERT(backend_count > 0);
   entries_.reserve(backend_count);
   for (std::size_t i = 0; i < backend_count; ++i) {
-    entries_.emplace_back(config_.ewma_tau, config_.window,
-                          config_.window_slices);
+    entries_.emplace_back(config_.ewma_tau);
+  }
+  if (config_.mode == LatencyScoreMode::kWindowedP95) {
+    windows_.reserve(backend_count);
+    for (std::size_t i = 0; i < backend_count; ++i) {
+      windows_.emplace_back(config_.window);
+    }
   }
 }
 
@@ -25,7 +30,7 @@ void ServerLatencyTracker::record(BackendId backend, SimTime now,
   if (t_lb < 0) return;
   auto& e = entries_[backend];
   e.ewma.record(now, static_cast<double>(t_lb));
-  e.window.record(now, t_lb);
+  if (!windows_.empty()) windows_[backend].record(now, t_lb);
   e.last_sample = now;
   ++e.count;
 }
@@ -39,7 +44,7 @@ std::optional<double> ServerLatencyTracker::score(BackendId backend,
     case LatencyScoreMode::kEwma:
       return e.ewma.value();
     case LatencyScoreMode::kWindowedP95: {
-      const Histogram& h = e.window.merged(now);
+      const Histogram& h = windows_[backend].merged(now);
       if (h.count() == 0) return std::nullopt;  // all samples aged out
       return static_cast<double>(h.percentile(0.95));
     }

@@ -29,7 +29,6 @@ struct LatencyTrackerConfig {
   LatencyScoreMode mode = LatencyScoreMode::kEwma;
   SimTime ewma_tau = ms(2);      // decay constant of the per-server EWMA
   SimTime window = ms(50);       // sliding window for the p95 mode
-  int window_slices = 8;
 };
 
 struct BackendScore {
@@ -75,16 +74,17 @@ class ServerLatencyTracker {
  private:
   struct Entry {
     DecayingEwma ewma;
-    SlidingWindowHistogram window;
     SimTime last_sample = kNoTime;
     std::uint64_t count = 0;
 
-    Entry(SimTime tau, SimTime window_len, int slices)
-        : ewma{tau}, window{window_len, slices} {}
+    explicit Entry(SimTime tau) : ewma{tau} {}
   };
 
   LatencyTrackerConfig config_;
   std::vector<Entry> entries_;
+  // One sliding window per backend, built only in kWindowedP95 mode (each
+  // holds nine histograms, ~134 KB); empty in kEwma mode.
+  std::vector<SlidingWindowHistogram> windows_;
 };
 
 }  // namespace inband

@@ -1,17 +1,13 @@
 #include "core/shortest_queue_controller.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "check/state_digest.h"
-#include "util/assert.h"
 
 namespace inband {
 
 ShortestQueueController::ShortestQueueController(ShortestQueueConfig config)
-    : EpochWeightLaw{config}, config_{config} {
-  INBAND_ASSERT(config_.power > 0.0);
-}
+    : EpochWeightLaw{config}, config_{config} {}
 
 const std::vector<BackendScore>* ShortestQueueController::score_view(
     ServerLatencyTracker& tracker, SimTime now, ScoreScan& scan) {
@@ -41,12 +37,7 @@ void ShortestQueueController::weigh(const std::vector<BackendScore>& view,
   (void)weights;
   next.assign(view.size(), 0.0);
   for (const auto& s : view) {
-    const double inv = 1.0 / std::max(s.score_ns, 1.0);
-    // power == 1 skips a pow() whose rounding is libm's business, not ours.
-    next[s.backend] =
-        config_.power > 0.999 && config_.power < 1.001
-            ? inv
-            : std::pow(inv, config_.power);
+    next[s.backend] = 1.0 / std::max(s.score_ns, 1.0);
   }
   floor_and_normalize(next, floor);
 }

@@ -30,7 +30,6 @@ namespace inband {
 struct ShortestQueueConfig : EpochLawConfig {
   ShortestQueueConfig() { min_samples = 1; }
   SimTime view_refresh = 0;  // 0: always-fresh view; >0: stale-info variant
-  double power = 1.0;        // preference sharpness
 };
 
 INBAND_SHARD_LOCAL(lb)

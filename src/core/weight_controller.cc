@@ -80,7 +80,6 @@ WeightDecision WeightController::emit_decision(
 EpochWeightLaw::EpochWeightLaw(const EpochLawConfig& config)
     : config_{config} {
   INBAND_ASSERT(config_.epoch > 0);
-  INBAND_ASSERT(config_.min_weight >= 0.0 && config_.min_weight < 1.0);
   INBAND_ASSERT(config_.deadband >= 0.0);
 }
 
@@ -104,8 +103,9 @@ std::optional<WeightDecision> EpochWeightLaw::control_step(
 
   // The floor keeps every backend sampled once the law is in charge, which
   // is what keeps the next epoch's view complete.
+  constexpr double kMinWeight = 0.02;
   const double nd = static_cast<double>(n);
-  const double floor = std::min(config_.min_weight, 1.0 / (2.0 * nd));
+  const double floor = std::min(kMinWeight, 1.0 / (2.0 * nd));
   weigh(*view, weights, floor, next_);
   if (weight_l1_distance(next_, weights) < config_.deadband) {
     return std::nullopt;

@@ -24,7 +24,7 @@
 //    moves, so shifts() counts exactly the decisions returned;
 //  * for the weight-vector laws, EpochWeightLaw: the warm-up and epoch
 //    gate, the complete-fresh-view requirement, the per-backend floor
-//    min(min_weight, 1/(2n)) and the L1 deadband. Such a law implements only
+//    min(0.02, 1/(2n)) and the L1 deadband. Such a law implements only
 //    its weight formula (weigh) and the digest of its own state.
 //
 // Controllers must be deterministic: the decision stream is a pure function
@@ -140,7 +140,6 @@ class WeightController {
 // extends this and keeps its own defaults.
 struct EpochLawConfig {
   SimTime epoch = ms(2);          // decision interval
-  double min_weight = 0.02;       // per-backend floor, capped at 1/(2n)
   std::uint64_t min_samples = 3;  // per-backend warm-up before a decision
   SimTime staleness = ms(20);     // a score older than this blocks one
   SimTime warmup = 0;             // no decisions before this absolute time

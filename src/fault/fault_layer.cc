@@ -11,6 +11,13 @@
 
 namespace inband {
 
+namespace {
+// Hold of a reordered packet, uniform in [min, max); a duplicate re-arrives
+// within [0, max).
+constexpr SimTime kReorderHoldMin = us(50);
+constexpr SimTime kReorderHoldMax = us(500);
+}  // namespace
+
 FaultLayer::FaultLayer(Simulator& sim, Network& net, FaultPlan plan,
                        std::vector<LinkRef> topology)
     : sim_{sim}, net_{net}, plan_{std::move(plan)} {
@@ -106,7 +113,8 @@ void FaultLayer::flap_transition(std::size_t flap_index, bool down) {
                         link.ref);
     }
   }
-  LOG_INFO() << "fault: link flap " << (down ? "down" : "up") << " ("
+  LOG_INFO() << '[' << format_duration(sim_.now()) << "] fault: link flap "
+             << (down ? "down" : "up") << " ("
              << link_scope_name(flap.spec.scope) << " index "
              << flap.spec.index << ")";
 }
@@ -159,15 +167,15 @@ SendVerdict FaultLayer::decide(LinkState& link, const Packet& pkt) {
       // The copy re-arrives within the reorder window — a late duplicate
       // stresses the estimators harder than a back-to-back one.
       verdict.duplicate_hold = static_cast<SimTime>(link.rng.uniform_u64(
-          0, static_cast<std::uint64_t>(spec->reorder_hold_max)));
+          0, static_cast<std::uint64_t>(kReorderHoldMax)));
       ++duplicates_;
       touched = true;
       record_link_event(FaultEvent::Kind::kDuplicate, link.ref);
     }
     if (spec->reorder > 0.0 && link.rng.bernoulli(spec->reorder)) {
       verdict.hold += static_cast<SimTime>(link.rng.uniform_u64(
-          static_cast<std::uint64_t>(spec->reorder_hold_min),
-          static_cast<std::uint64_t>(spec->reorder_hold_max)));
+          static_cast<std::uint64_t>(kReorderHoldMin),
+          static_cast<std::uint64_t>(kReorderHoldMax)));
       ++reorders_;
       touched = true;
       record_link_event(FaultEvent::Kind::kReorder, link.ref);

@@ -47,11 +47,11 @@ struct LinkFaultSpec {
   int index = -1;
 
   double loss = 0.0;       // P(packet silently dropped)
-  double duplicate = 0.0;  // P(a second copy is transmitted)
-  double reorder = 0.0;    // P(packet held so later packets overtake it)
-  // Hold duration for a reordered packet, uniform in [min, max).
-  SimTime reorder_hold_min = us(50);
-  SimTime reorder_hold_max = us(500);
+  // P(a second copy is transmitted); the copy re-arrives within [0, 500us).
+  double duplicate = 0.0;
+  // P(packet held so later packets overtake it); the hold is uniform in
+  // [50us, 500us).
+  double reorder = 0.0;
   // Per-packet delay jitter: every passing packet is held uniform in
   // [0, jitter_max). 0 disables. Unlike LinkParams::jitter_* this jitter is
   // applied *before* the link and is not FIFO-clamped, so large draws also

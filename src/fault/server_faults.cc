@@ -40,7 +40,8 @@ void apply_server_faults(const FaultPlan& plan, Simulator& sim,
       if (crash) {
         servers[static_cast<std::size_t>(sf.server)]->abort_all_connections();
         layer.record_server_event(FaultEvent::Kind::kServerCrash, sf.server);
-        LOG_INFO() << "fault: server" << sf.server << " crashed (restart at "
+        LOG_INFO() << '[' << format_duration(sim.now()) << "] fault: server"
+                   << sf.server << " crashed (restart at "
                    << format_duration(sf.until) << ")";
         sim.schedule_at(sf.until, [&layer, sf] {
           layer.record_server_event(FaultEvent::Kind::kServerRestart,
@@ -48,7 +49,8 @@ void apply_server_faults(const FaultPlan& plan, Simulator& sim,
         });
       } else {
         layer.record_server_event(FaultEvent::Kind::kServerStall, sf.server);
-        LOG_INFO() << "fault: server" << sf.server << " stalled until "
+        LOG_INFO() << '[' << format_duration(sim.now()) << "] fault: server"
+                   << sf.server << " stalled until "
                    << format_duration(sf.until);
       }
     });

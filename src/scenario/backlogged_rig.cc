@@ -9,6 +9,23 @@ constexpr Ipv4 kSenderAddr = make_ipv4(10, 0, 0, 1);
 constexpr Ipv4 kVip = make_ipv4(10, 1, 0, 1);
 constexpr Ipv4 kReceiverAddr = make_ipv4(10, 2, 0, 1);
 constexpr std::uint16_t kSinkPort = 9000;
+
+// One-way propagation delays; base RTT ≈ sender→LB + LB→receiver +
+// receiver→sender (+ serialization).
+constexpr SimTime kSenderLbDelay = us(50);
+constexpr SimTime kLbReceiverDelay = us(50);
+constexpr SimTime kReceiverSenderDelay = us(100);
+constexpr std::uint64_t kBandwidthBps = 10'000'000'000;
+
+// Per-packet delay jitter (log-normal), modelling kernel/NIC scheduling
+// noise. Without it the simulated gaps are implausibly clean and *every*
+// timeout separates batches perfectly — the paper's Fig. 2(a) failure modes
+// only exist because real paths are noisy. The return (ACK) path carries the
+// larger share, spreading the client's transmissions within a window.
+constexpr SimTime kForwardJitterMedian = us(2);
+constexpr double kForwardJitterSigma = 0.8;
+constexpr SimTime kReturnJitterMedian = us(8);
+constexpr double kReturnJitterSigma = 1.3;
 }  // namespace
 
 BackloggedRig::BackloggedRig(BackloggedRigConfig config)
@@ -30,15 +47,12 @@ BackloggedRig::BackloggedRig(BackloggedRigConfig config)
                                              "receiver", tcp,
                                              config_.seed + 1);
 
-  LinkParams up{config_.bandwidth_bps, config_.sender_lb_delay, 0,
-                config_.forward_jitter_median, config_.forward_jitter_sigma,
-                config_.seed ^ 0xf01};
-  LinkParams mid{config_.bandwidth_bps, config_.lb_receiver_delay, 0,
-                 config_.forward_jitter_median, config_.forward_jitter_sigma,
-                 config_.seed ^ 0xf02};
-  LinkParams back{config_.bandwidth_bps, config_.receiver_sender_delay, 0,
-                  config_.return_jitter_median, config_.return_jitter_sigma,
-                  config_.seed ^ 0xf03};
+  LinkParams up{kBandwidthBps, kSenderLbDelay, 0, kForwardJitterMedian,
+                kForwardJitterSigma, config_.seed ^ 0xf01};
+  LinkParams mid{kBandwidthBps, kLbReceiverDelay, 0, kForwardJitterMedian,
+                 kForwardJitterSigma, config_.seed ^ 0xf02};
+  LinkParams back{kBandwidthBps, kReceiverSenderDelay, 0, kReturnJitterMedian,
+                  kReturnJitterSigma, config_.seed ^ 0xf03};
   net_.add_link(kSenderAddr, kVip, up);
   net_.add_link(kVip, kReceiverAddr, mid);
   net_.add_link(kReceiverAddr, kSenderAddr, back);

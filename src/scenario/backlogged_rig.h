@@ -28,25 +28,9 @@
 
 namespace inband {
 
+// The links are fixed (see backlogged_rig.cc): 10 Gb/s, a 200 us base RTT
+// and log-normal per-packet jitter.
 struct BackloggedRigConfig {
-  // One-way propagation delays; base RTT ≈ sender→LB + LB→receiver +
-  // receiver→sender (+ serialization).
-  SimTime sender_lb_delay = us(50);
-  SimTime lb_receiver_delay = us(50);
-  SimTime receiver_sender_delay = us(100);
-  std::uint64_t bandwidth_bps = 10'000'000'000;
-
-  // Per-packet delay jitter (log-normal), modelling kernel/NIC scheduling
-  // noise. Without it the simulated gaps are implausibly clean and *every*
-  // timeout separates batches perfectly — the paper's Fig. 2(a) failure
-  // modes only exist because real paths are noisy. The return (ACK) path
-  // carries the larger share, spreading the client's transmissions within
-  // a window.
-  SimTime forward_jitter_median = us(2);
-  double forward_jitter_sigma = 0.8;
-  SimTime return_jitter_median = us(8);
-  double return_jitter_sigma = 1.3;
-
   std::uint32_t window_segments = 16;  // the flow-control quota
   std::uint32_t mss = 1448;
   bool delayed_ack = false;

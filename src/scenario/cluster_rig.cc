@@ -196,7 +196,6 @@ void ClusterRig::run() {
 void ClusterRig::start() {
   INBAND_ASSERT(!started_, "ClusterRig::start() called twice");
   started_ = true;
-  if (config_.install_log_clock) log_guard_.emplace(sim_);
   if (config_.reserve_records > 0) records_.reserve(config_.reserve_records);
 
   if (config_.inject_time < config_.duration && config_.inject_extra > 0) {
@@ -207,7 +206,8 @@ void ClusterRig::start() {
                   rig_server_addr(base, config_.victim))
             .set_extra_delay(config_.inject_extra);
       }
-      LOG_INFO() << "injected " << format_duration(config_.inject_extra)
+      LOG_INFO() << '[' << format_duration(sim_.now()) << "] injected "
+                 << format_duration(config_.inject_extra)
                  << " on LB->server" << config_.victim << " paths";
     });
   }
@@ -234,7 +234,6 @@ void ClusterRig::finish() {
     audit_task_->cancel();
     auditor_.run_all(sim_.now());  // final full audit at end of run
   }
-  log_guard_.reset();
 }
 
 std::vector<Sample> ClusterRig::get_latency_samples() const {

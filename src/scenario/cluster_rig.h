@@ -13,7 +13,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -70,10 +69,6 @@ struct ClusterRigConfig {
   // standalone rig; the sharded rig gives shard s addr_base = s so every
   // shard's topology is globally addressable without collisions.
   int addr_base = 0;
-  // Install this rig's sim clock as the process-wide logging clock between
-  // start() and finish(). The logging clock is a global; a sharded rig runs
-  // many rigs on many threads and must leave it alone (set false there).
-  bool install_log_clock = true;
 
   LbMode mode = LbMode::kInband;
   InbandPolicyConfig inband;  // used when mode == kInband
@@ -194,8 +189,6 @@ class ClusterRig {
   std::unique_ptr<PeriodicTask> share_sampler_;
   InvariantAuditor auditor_;
   std::unique_ptr<PeriodicTask> audit_task_;
-  // Live between start() and finish() so phased runs log sim timestamps.
-  std::optional<Simulator::LogClockGuard> log_guard_;
   bool started_ = false;
 };
 

@@ -223,9 +223,8 @@ ShardedRig::ShardedRig(ShardedRigConfig config) : config_{std::move(config)} {
   for (int s = 0; s < S; ++s) {
     ClusterRigConfig cfg = config_.shard;
     cfg.addr_base = s;
-    cfg.seed = config_.shard.seed +
-               config_.seed_stride * static_cast<std::uint64_t>(s);
-    cfg.install_log_clock = false;
+    constexpr std::uint64_t kSeedStride = 1000;
+    cfg.seed = config_.shard.seed + kSeedStride * static_cast<std::uint64_t>(s);
     Shard& sh = shards_[static_cast<std::size_t>(s)];
     sh.rig = std::make_unique<ClusterRig>(std::move(cfg));
 

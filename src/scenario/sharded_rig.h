@@ -41,12 +41,11 @@ struct ShardedRigConfig {
   // != 0 permutes the shard->worker placement; results must not change.
   std::uint64_t sched_seed = 0;
 
-  // Per-shard template. addr_base, seed, and install_log_clock are
-  // overridden per shard: shard s runs at addr_base = s and
-  // seed = shard.seed + seed_stride * s (so shard 0 matches the template
-  // exactly and the S=1 rig is digest-identical to a plain ClusterRig).
+  // Per-shard template. addr_base and seed are overridden per shard: shard
+  // s runs at addr_base = s and seed = shard.seed + 1000 * s (so shard 0
+  // matches the template exactly and the S=1 rig is digest-identical to a
+  // plain ClusterRig).
   ClusterRigConfig shard;
-  std::uint64_t seed_stride = 1000;
 
   // One-way latency of every cross-shard trunk: the conservative lookahead.
   // Must be positive — zero would stall the protocol (sim/parallel.h).

@@ -234,25 +234,6 @@ SimTime EventQueue::next_time() {
   return head == nullptr ? kNoTime : key_time(head->key);
 }
 
-EventQueue::Popped EventQueue::pop() {
-  WheelEntry* head = front_entry();
-  INBAND_ASSERT(head != nullptr, "pop() on empty event queue");
-  const SimTime t = key_time(head->key);
-  const std::uint32_t slot = head->slot;
-  [[maybe_unused]] const std::uint32_t gen = head->gen;
-  ++pos_;
-  Slot& s = slot_ref(slot);
-  INBAND_DCHECK(s.gen == gen && s.callback);
-  Popped out{t, std::move(s.callback)};
-  retire_handle(s);
-  recycle_slot(slot, s);
-  --live_;
-  INBAND_DCHECK(last_popped_ == kNoTime || t >= last_popped_,
-                "event queue popped backwards in time");
-  last_popped_ = t;
-  return out;
-}
-
 void EventQueue::audit_invariants(AuditScope& scope) {
   std::size_t occupied = 0;
   std::uint64_t free_count = 0;

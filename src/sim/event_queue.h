@@ -209,21 +209,11 @@ class EventQueue {
   // Timestamp of the next live event; kNoTime when empty.
   SimTime next_time();
 
-  // Pops and returns the next live event's handler (with its time). The
-  // caller invokes it — the queue itself never runs user code. The returned
-  // callback is moved out of its pool slot; prefer fire_next() on hot paths,
-  // which invokes in place.
-  struct Popped {
-    SimTime t;
-    EventCallback fn;
-  };
-  Popped pop();
-
-  // Fused pop-and-invoke: runs the next live event's callback in its pool
-  // slot (no move, no transient storage). `pre(t)` runs after the event is
-  // committed but before the callback, so a simulator can advance its clock
-  // first. As with pop(), an event cannot cancel() itself once it is firing.
-  // Returns the event's time. The queue must not be empty.
+  // Pops the next live event and runs its callback in its pool slot (no
+  // move, no transient storage). `pre(t)` runs after the event is committed
+  // but before the callback, so a simulator can advance its clock first. An
+  // event cannot cancel() itself once it is firing. Returns the event's
+  // time. The queue must not be empty.
   template <typename Pre>
   INBAND_HOT SimTime fire_next(Pre&& pre) {
     WheelEntry* head = front_entry();
@@ -237,7 +227,7 @@ class EventQueue {
     INBAND_DCHECK(last_popped_ == kNoTime || t >= last_popped_,
                   "event queue popped backwards in time");
     last_popped_ = t;
-    retire_handle(s);  // the firing event's own id goes dead, as with pop()
+    retire_handle(s);  // the firing event's own id goes dead
     firing_slot_ = slot;  // occupied but no longer live, for the auditor
     pre(t);
     s.callback();  // may push/cancel freely; `head` may dangle from here on

@@ -3,7 +3,6 @@
 #include "check/invariant_auditor.h"
 #include "check/state_digest.h"
 #include "util/assert.h"
-#include "util/logging.h"
 
 namespace inband {
 
@@ -50,18 +49,6 @@ void Simulator::digest_state(StateDigest& digest) {
   digest.mix(executed_);
   queue_.digest_state(digest);
 }
-
-namespace {
-SimTime sim_log_clock(const void* ctx) {
-  return static_cast<const Simulator*>(ctx)->now();
-}
-}  // namespace
-
-Simulator::LogClockGuard::LogClockGuard(const Simulator& sim) {
-  set_log_clock(&sim_log_clock, &sim);
-}
-
-Simulator::LogClockGuard::~LogClockGuard() { set_log_clock(nullptr, nullptr); }
 
 PeriodicTask::PeriodicTask(Simulator& sim, SimTime period,
                            std::function<void(SimTime)> fn)

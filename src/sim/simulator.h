@@ -81,16 +81,6 @@ class Simulator {
   // Folds clock/scheduler state into a determinism digest.
   void digest_state(StateDigest& digest);
 
-  // Installs this simulator's clock as the logging time prefix for the
-  // duration of the returned guard.
-  class LogClockGuard {
-   public:
-    explicit LogClockGuard(const Simulator& sim);
-    ~LogClockGuard();
-    LogClockGuard(const LogClockGuard&) = delete;
-    LogClockGuard& operator=(const LogClockGuard&) = delete;
-  };
-
  private:
   EventQueue queue_;
   SimTime now_ = 0;

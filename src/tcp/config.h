@@ -23,9 +23,6 @@ struct TcpConfig {
   // is min(cwnd_bytes, peer receive window).
   std::uint32_t cwnd_bytes = 16 * 1448;
 
-  // Advertised receive buffer, bytes.
-  std::uint32_t recv_buffer_bytes = 1 << 20;
-
   // Delayed acknowledgements (off by default: memcached-style workloads run
   // with quickack-ish behaviour; the ablation bench turns this on).
   bool delayed_ack = false;
@@ -36,18 +33,9 @@ struct TcpConfig {
   bool pacing = false;
   std::uint64_t pacing_rate_bps = 1'000'000'000;
 
-  // Retransmission timer (RFC 6298 shape).
+  // Initial retransmission timeout (RFC 6298 shape; the bounds and the
+  // retry limit are fixed in connection.cc).
   SimTime rto_initial = ms(50);
-  SimTime rto_min = ms(5);
-  SimTime rto_max = sec(4);
-  int max_retries = 8;
-
-  // TIME_WAIT linger (2*MSL equivalent; short — simulated networks do not
-  // hold stragglers for minutes).
-  SimTime time_wait = ms(2);
-
-  // Deterministic ISNs (offset by connection counter) when false.
-  bool random_isn = true;
 };
 
 }  // namespace inband

@@ -11,6 +11,20 @@
 
 namespace inband {
 
+namespace {
+
+// Fixed stack parameters (no experiment varies them).
+constexpr std::uint32_t kRecvBufferBytes = 1 << 20;  // advertised buffer
+// Retransmission timer bounds (RFC 6298 shape) and the give-up count.
+constexpr SimTime kRtoMin = ms(5);
+constexpr SimTime kRtoMax = sec(4);
+constexpr int kMaxRetries = 8;
+// TIME_WAIT linger (2*MSL equivalent; short — simulated networks do not
+// hold stragglers for minutes).
+constexpr SimTime kTimeWait = ms(2);
+
+}  // namespace
+
 const char* tcp_state_name(TcpState s) {
   switch (s) {
     case TcpState::kClosed:
@@ -60,8 +74,8 @@ static std::uint64_t ack_offset_of(const RecvBuffer& rb, bool fin_processed,
 
 std::uint32_t TcpConnection::advertised_window() const {
   const std::uint64_t buffered = recv_buf_.buffered_bytes();
-  if (buffered >= config_.recv_buffer_bytes) return 0;
-  return config_.recv_buffer_bytes - static_cast<std::uint32_t>(buffered);
+  if (buffered >= kRecvBufferBytes) return 0;
+  return kRecvBufferBytes - static_cast<std::uint32_t>(buffered);
 }
 
 std::uint64_t TcpConnection::effective_window() const {
@@ -455,14 +469,15 @@ void TcpConnection::disarm_retx() {
 
 void TcpConnection::on_retx_timeout() {
   ++retx_attempts_;
-  if (retx_attempts_ > config_.max_retries) {
-    LOG_DEBUG() << "conn " << format_flow(key_) << " gave up after "
-                << config_.max_retries << " retries in "
+  if (retx_attempts_ > kMaxRetries) {
+    const SimTime now = sim().now();
+    LOG_DEBUG() << '[' << format_duration(now) << "] conn " << format_flow(key_)
+                << " gave up after " << kMaxRetries << " retries in "
                 << tcp_state_name(state_);
     teardown(true);
     return;
   }
-  rto_ = std::min(rto_ * 2, config_.rto_max);
+  rto_ = std::min(rto_ * 2, kRtoMax);
 
   switch (state_) {
     case TcpState::kSynSent:
@@ -502,7 +517,7 @@ void TcpConnection::update_rtt(SimTime sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kRtoMin, kRtoMax);
 }
 
 void TcpConnection::enter_time_wait() {
@@ -510,7 +525,7 @@ void TcpConnection::enter_time_wait() {
   disarm_retx();
   cancel_delack();
   if (time_wait_timer_ == kInvalidEventId) {
-    time_wait_timer_ = sim().schedule_after(config_.time_wait, [this] {
+    time_wait_timer_ = sim().schedule_after(kTimeWait, [this] {
       time_wait_timer_ = kInvalidEventId;
       teardown(false);
     });

@@ -8,8 +8,6 @@ namespace inband {
 namespace {
 
 std::atomic<LogLevel> g_level{LogLevel::kInfo};
-LogClock g_clock = nullptr;
-const void* g_clock_ctx = nullptr;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -34,11 +32,6 @@ const char* level_name(LogLevel level) {
 void set_log_level(LogLevel level) { g_level.store(level); }
 LogLevel log_level() { return g_level.load(); }
 
-void set_log_clock(LogClock clock, const void* ctx) {
-  g_clock = clock;
-  g_clock_ctx = ctx;
-}
-
 bool log_enabled(LogLevel level) {
   return static_cast<int>(level) >= static_cast<int>(g_level.load());
 }
@@ -51,9 +44,6 @@ LogMessage::LogMessage(LogLevel level, std::string_view file, int line)
   const auto slash = file.find_last_of('/');
   if (slash != std::string_view::npos) file = file.substr(slash + 1);
   stream_ << '[' << level_name(level) << "] ";
-  if (g_clock != nullptr) {
-    stream_ << '[' << format_duration(g_clock(g_clock_ctx)) << "] ";
-  }
   stream_ << file << ':' << line << ": ";
 }
 

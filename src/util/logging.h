@@ -1,12 +1,12 @@
 // Minimal leveled logging.
 //
-// A Logger is a stream-style sink guarded by a global level; when a
-// simulation clock provider is installed, each line is prefixed with the
-// current simulated time. Logging is for humans — structured experiment
-// output goes through telemetry/ and util/csv.h instead.
+// A Logger is a stream-style sink guarded by a global level. There is no
+// process-wide clock: a call site that knows the simulated time prints it
+// itself. Logging is for humans — structured experiment output goes through
+// telemetry/ and util/csv.h instead.
 //
 // Usage:
-//   LOG_INFO() << "backend " << id << " latency " << format_duration(rtt);
+//   LOG_INFO() << '[' << format_duration(now) << "] backend " << id;
 #pragma once
 
 #include <sstream>
@@ -21,11 +21,6 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 // Global minimum level; messages below it are discarded cheaply.
 void set_log_level(LogLevel level);
 LogLevel log_level();
-
-// Installs a provider for the simulated-time log prefix (nullptr to clear).
-// The provider must outlive all logging calls; the Simulator installs itself.
-using LogClock = SimTime (*)(const void* ctx);
-void set_log_clock(LogClock clock, const void* ctx);
 
 namespace detail {
 

@@ -101,28 +101,4 @@ class Rng {
   bool has_spare_normal_ = false;
 };
 
-// Zipf-distributed integers over {1, ..., n} with exponent s >= 0, using
-// rejection-inversion sampling (Hörmann & Derflinger); O(1) per sample with
-// no table, so it supports very large n.
-INBAND_SHARD_LOCAL(owner)
-class ZipfDistribution {
- public:
-  ZipfDistribution(std::uint64_t n, double s);
-
-  std::uint64_t n() const { return n_; }
-  double s() const { return s_; }
-
-  std::uint64_t operator()(Rng& rng) const;
-
- private:
-  double h(double x) const;
-  double h_inv(double x) const;
-
-  std::uint64_t n_;
-  double s_;
-  double h_x1_;
-  double h_n_;
-  double threshold_;  // rejection threshold for k == 1
-};
-
 }  // namespace inband

@@ -14,6 +14,7 @@
 #include <cstdint>
 
 #include "core/inband_lb_policy.h"
+#include "core/server_latency_tracker.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
 #include "scenario/cluster_rig.h"
@@ -188,6 +189,20 @@ TEST(AllocFree, InbandPolicyFlowCloseRecyclesEstimatorState) {
   EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
   EXPECT_EQ(policy.tracked_flows(), 0u);
   EXPECT_GT(policy.samples_total(), 0u);
+}
+
+// The default EWMA tracker keeps one small record per backend. The p95
+// mode's sliding windows (nine histograms, ~134 KB per backend) are built
+// only when that mode is selected.
+TEST(AllocBudget, EwmaTrackerConstructionIsSmall) {
+  SKIP_UNLESS_COUNTING();
+  const auto before = allocs::snapshot();
+  {
+    ServerLatencyTracker tracker{16};
+    EXPECT_EQ(tracker.backend_count(), 16u);
+  }
+  const auto delta = allocs::delta(before, allocs::snapshot());
+  EXPECT_LT(delta.bytes, 16u * 1024u) << delta.count << " allocations";
 }
 
 TEST(AllocFree, PacketPoolSteadyStateAcquireRelease) {

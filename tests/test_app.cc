@@ -1,5 +1,5 @@
-// Unit tests: application layer (KV protocol, variability injectors,
-// KV server, memtier-style client, bulk flows).
+// Unit tests: application layer (KV protocol, KV server with variability
+// injectors, memtier-style client, bulk flows).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +8,7 @@
 #include "app/bulk_flow.h"
 #include "app/kv_client.h"
 #include "app/kv_server.h"
+#include "fault/server_faults.h"
 #include "scenario/metrics.h"
 #include "telemetry/time_series.h"
 
@@ -49,66 +50,6 @@ TEST(KvProtocol, ResponseEchoesRequestFields) {
   EXPECT_EQ(resp->created_at, us(55));
 }
 
-// --- variability injectors ---
-
-TEST(Variability, StepDelayActiveOnlyInWindow) {
-  StepDelayInjector inj{ms(10), us(500), ms(20)};
-  EXPECT_EQ(inj.extra_service_time(ms(5), us(10)), 0);
-  EXPECT_EQ(inj.extra_service_time(ms(10), us(10)), us(500));
-  EXPECT_EQ(inj.extra_service_time(ms(15), us(10)), us(500));
-  EXPECT_EQ(inj.extra_service_time(ms(20), us(10)), 0);
-}
-
-TEST(Variability, GcPauseFreezesPeriodically) {
-  GcPauseInjector inj{ms(100), ms(5)};
-  // During the pause window.
-  EXPECT_EQ(inj.frozen_until(ms(2)), ms(5));
-  EXPECT_EQ(inj.frozen_until(ms(102)), ms(105));
-  // Outside.
-  EXPECT_EQ(inj.frozen_until(ms(50)), 0);
-}
-
-TEST(Variability, GcPausePhaseShift) {
-  GcPauseInjector inj{ms(100), ms(5), ms(30)};
-  EXPECT_EQ(inj.frozen_until(ms(2)), 0);    // before phase, no pause yet
-  EXPECT_EQ(inj.frozen_until(ms(31)), ms(35));
-}
-
-TEST(Variability, HeavyTailRespectsProbabilityAndCap) {
-  HeavyTailNoiseInjector inj{0.1, us(100), 1.5, ms(2)};
-  inj.seed_stream(5);
-  int nonzero = 0;
-  constexpr int kN = 20'000;
-  for (int i = 0; i < kN; ++i) {
-    const SimTime d = inj.extra_service_time(0, us(10));
-    EXPECT_LE(d, ms(2));
-    if (d > 0) {
-      EXPECT_GE(d, us(100));
-      ++nonzero;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(nonzero) / kN, 0.1, 0.02);
-}
-
-TEST(Variability, MarkovSlowdownMultipliesBase) {
-  MarkovSlowdownInjector inj{ms(1), ms(1), 3.0, 7};
-  // Find a time where the state is slow, verify the multiplier.
-  bool saw_slow = false;
-  bool saw_fast = false;
-  for (SimTime t = 0; t < ms(50); t += us(100)) {
-    const SimTime extra = inj.extra_service_time(t, us(10));
-    if (inj.slow_at(t)) {
-      EXPECT_EQ(extra, us(20));  // base * (3-1)
-      saw_slow = true;
-    } else {
-      EXPECT_EQ(extra, 0);
-      saw_fast = true;
-    }
-  }
-  EXPECT_TRUE(saw_slow);
-  EXPECT_TRUE(saw_fast);
-}
-
 // --- server + client end to end (direct link, no LB) ---
 
 struct KvRig {
@@ -134,6 +75,16 @@ struct KvRig {
   std::unique_ptr<KvServer> server;
   std::unique_ptr<KvClient> client;
 };
+
+// GC-style pauses: the process freezes for `pause` at the start of every
+// `period` before `until`.
+std::unique_ptr<ScheduledFreezeInjector> periodic_pauses(SimTime period,
+                                                         SimTime pause,
+                                                         SimTime until) {
+  std::vector<ScheduledFreezeInjector::Window> windows;
+  for (SimTime t = 0; t < until; t += period) windows.push_back({t, t + pause});
+  return std::make_unique<ScheduledFreezeInjector>(std::move(windows));
+}
 
 TEST(KvServer, ServesGetAndSet) {
   KvClientConfig cc;
@@ -230,9 +181,12 @@ TEST(KvServer, StepInjectorInflatesLatency) {
   cc.connections = 1;
   cc.pipeline = 1;
   cc.requests_per_conn = 0;
+  // A step delay: every request calls a dependency that slows by 1 ms at
+  // 20 ms. Declared before the rig, so it outlives the server.
+  SharedDependency step{0};
+  step.inject(ms(20), ms(1));
   KvRig rig{sc, cc};
-  rig.server->add_injector(
-      std::make_unique<StepDelayInjector>(ms(20), ms(1)));
+  rig.server->add_injector(std::make_unique<DependencyInjector>(step, 1.0));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});
@@ -253,8 +207,7 @@ TEST(KvServer, GcPauseStallsAllWorkers) {
   cc.pipeline = 2;
   cc.requests_per_conn = 0;
   KvRig rig{sc, cc};
-  rig.server->add_injector(
-      std::make_unique<GcPauseInjector>(ms(10), ms(2)));
+  rig.server->add_injector(periodic_pauses(ms(10), ms(2), ms(50)));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});
@@ -467,30 +420,8 @@ TEST_P(KvWorkerSweep, MoreWorkersNeverSlower) {
 
 INSTANTIATE_TEST_SUITE_P(Workers, KvWorkerSweep, testing::Values(1, 2, 4));
 
-// Zipf key skew shows up in the store: with strong skew, far fewer distinct
-// keys are ever written than with uniform keys.
-TEST(KvClientKeys, ZipfSkewConcentratesStore) {
-  auto run_with_zipf = [](double s) {
-    KvServerConfig sc;
-    KvClientConfig cc;
-    cc.connections = 2;
-    cc.pipeline = 8;
-    cc.get_ratio = 0.0;  // all SETs
-    cc.keyspace = 100'000;
-    cc.zipf_s = s;
-    cc.requests_per_conn = 0;
-    KvRig rig{sc, cc};
-    rig.client->start();
-    rig.sim->run_until(ms(100));
-    return rig.server->store_size();
-  };
-  const auto uniform_keys = run_with_zipf(0.0);
-  const auto skewed_keys = run_with_zipf(1.2);
-  EXPECT_LT(skewed_keys * 3, uniform_keys);
-}
-
-// The variability injectors compose: step + GC together inflate both the
-// body and the tail.
+// The variability injectors compose: a step delay and GC-style pauses
+// together inflate both the body and the tail.
 TEST(KvServer, InjectorsCompose) {
   KvServerConfig sc;
   sc.service_sigma = 0.0;
@@ -498,9 +429,11 @@ TEST(KvServer, InjectorsCompose) {
   cc.connections = 1;
   cc.pipeline = 1;
   cc.requests_per_conn = 0;
+  SharedDependency step{0};
+  step.inject(ms(10), us(300));
   KvRig rig{sc, cc};
-  rig.server->add_injector(std::make_unique<StepDelayInjector>(ms(10), us(300)));
-  rig.server->add_injector(std::make_unique<GcPauseInjector>(ms(20), ms(2)));
+  rig.server->add_injector(std::make_unique<DependencyInjector>(step, 1.0));
+  rig.server->add_injector(periodic_pauses(ms(20), ms(2), ms(60)));
   std::vector<Sample> lat;
   rig.client->set_recorder([&](const RequestRecord& r) {
     lat.push_back({r.sent_at, r.latency});

@@ -110,7 +110,7 @@ TEST(EventQueueAudit, DetectsInjectedOutOfOrderEvent) {
   InvariantAuditor auditor{AuditFailMode::kCollect};
   EventQueue q;
   q.push(ms(10), [] {});
-  (void)q.pop();  // queue's notion of "the past" is now 10ms
+  q.fire_next([](SimTime) {});  // queue's notion of "the past" is now 10ms
   // Inject an event behind the clock, bypassing Simulator::schedule_at's
   // monotonicity guard — exactly the corruption a sharded scheduler bug
   // would produce.

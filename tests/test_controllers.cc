@@ -452,7 +452,7 @@ TEST(ShareMetrics, TotalVariationSeesOscillationAndRest) {
 }
 
 // Issue 10 claimed the per-server step decay was a shift derived from epochs
-// capped at max_decay_epochs=63 — UB-adjacent on 64-bit and collapsing the
+// capped at kMaxDecayEpochs=63 — UB-adjacent on 64-bit and collapsing the
 // step to zero before the documented cap. The law as implemented derives
 // eta from min(epochs, cap) through a double sqrt: no shift, no UB, and the
 // documented floor is step / sqrt(1 + 63) = step / 8. This regression test
@@ -466,7 +466,7 @@ TEST(GradientDescent, StepDecayFloorsAtStepOverEightAtEpoch63) {
   capped_cfg.min_samples = 1;
   capped_cfg.deadband = 0.0;
   capped_cfg.warmup = 0;
-  ASSERT_EQ(capped_cfg.max_decay_epochs, 63u);
+  ASSERT_EQ(GradientDescentController::kMaxDecayEpochs, 63u);
   GradientDescentConfig floor_cfg = capped_cfg;
   floor_cfg.decay_step = false;
   floor_cfg.step = capped_cfg.step / 8.0;  // the documented eta floor

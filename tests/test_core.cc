@@ -1338,7 +1338,7 @@ TEST(DependencyInjector, CallFractionGatesTheDelay) {
   int hits = 0;
   constexpr int kN = 40'000;
   for (int i = 0; i < kN; ++i) {
-    const SimTime d = inj.extra_service_time(0, us(10));
+    const SimTime d = inj.extra_service_time(0);
     if (d > 0) {
       EXPECT_EQ(d, us(100));
       ++hits;
@@ -1351,11 +1351,11 @@ TEST(DependencyInjector, SharedInstanceCouplesServers) {
   SharedDependency dep{0};
   DependencyInjector a{dep, 1.0};
   DependencyInjector b{dep, 1.0};
-  EXPECT_EQ(a.extra_service_time(0, us(10)), 0);
-  EXPECT_EQ(b.extra_service_time(0, us(10)), 0);
+  EXPECT_EQ(a.extra_service_time(0), 0);
+  EXPECT_EQ(b.extra_service_time(0), 0);
   dep.inject(ms(1), ms(2));
-  EXPECT_EQ(a.extra_service_time(ms(1), us(10)), ms(2));
-  EXPECT_EQ(b.extra_service_time(ms(1), us(10)), ms(2));
+  EXPECT_EQ(a.extra_service_time(ms(1)), ms(2));
+  EXPECT_EQ(b.extra_service_time(ms(1)), ms(2));
 }
 
 // --- α-shift refactor differential suite (WeightController extraction) ---

@@ -23,7 +23,7 @@ TEST(EventQueue, PopsInTimeOrder) {
   q.push(30, [&] { order.push_back(3); });
   q.push(10, [&] { order.push_back(1); });
   q.push(20, [&] { order.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next([](SimTime) {});
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -33,7 +33,7 @@ TEST(EventQueue, FifoAmongEqualTimes) {
   for (int i = 0; i < 10; ++i) {
     q.push(5, [&, i] { order.push_back(i); });
   }
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.fire_next([](SimTime) {});
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
@@ -56,7 +56,7 @@ TEST(EventQueue, CancelTwiceFails) {
 TEST(EventQueue, CancelAfterPopFails) {
   EventQueue q;
   const EventId id = q.push(10, [] {});
-  q.pop().fn();
+  q.fire_next([](SimTime) {});
   EXPECT_FALSE(q.cancel(id));
 }
 
@@ -293,7 +293,7 @@ TEST(EventQueue, PendingCallbacksDestroyedWithQueue) {
     for (int i = 0; i < 10; ++i) {
       q.push(i, [t = cbtrack::Tracked{}] { (void)t; });
     }
-    q.pop().fn();
+    q.fire_next([](SimTime) {});
   }
   EXPECT_EQ(cbtrack::live, 0);
 }
@@ -341,7 +341,7 @@ TEST(EventQueue, RecycledSlotHandleDoesNotAliasNewEvent) {
   const EventId second = q.push(20, [&] { ran = true; });
   EXPECT_FALSE(q.cancel(first));
   EXPECT_EQ(q.size(), 1u);
-  q.pop().fn();
+  q.fire_next([](SimTime) {});
   EXPECT_TRUE(ran);
   EXPECT_FALSE(q.cancel(second));
 }
@@ -495,7 +495,7 @@ TEST(EventQueue, FarHeapCompactsTombstonesUnderCancelHeavyCancels) {
             2 * q.size() + 2 * EventQueueTestPeer::far_reserve());
   // Compaction preserves the (time, seq) pop order of the survivors.
   for (std::size_t i = 0; i < keep.size(); ++i) {
-    EXPECT_EQ(q.pop().t, kFar + static_cast<SimTime>(i));
+    EXPECT_EQ(q.fire_next([](SimTime) {}), kFar + static_cast<SimTime>(i));
   }
   EXPECT_TRUE(q.empty());
 }

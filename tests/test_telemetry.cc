@@ -160,31 +160,6 @@ TEST(Histogram, RecordNWeights) {
 
 // --- EWMA ---
 
-TEST(Ewma, FirstSampleInitializes) {
-  Ewma e{0.5};
-  EXPECT_FALSE(e.initialized());
-  e.record(10.0);
-  EXPECT_TRUE(e.initialized());
-  EXPECT_DOUBLE_EQ(e.value(), 10.0);
-}
-
-TEST(Ewma, ConvergesTowardConstant) {
-  Ewma e{0.25};
-  e.record(0.0);
-  for (int i = 0; i < 100; ++i) e.record(100.0);
-  EXPECT_NEAR(e.value(), 100.0, 1e-6);
-}
-
-TEST(Ewma, GainControlsSpeed) {
-  Ewma fast{0.5};
-  Ewma slow{0.1};
-  fast.record(0.0);
-  slow.record(0.0);
-  fast.record(100.0);
-  slow.record(100.0);
-  EXPECT_GT(fast.value(), slow.value());
-}
-
 TEST(DecayingEwma, DecaysWithTime) {
   DecayingEwma e{ms(1)};
   e.record(0, 100.0);
