@@ -5,12 +5,10 @@
 // traffic in proportion to how "short" each server currently looks. Here a
 // server's queue proxy is its in-band latency score, so the law is
 //
-//   w_i  ~  (1 / max(score_i, 1ns)) ^ power
+//   w_i  ~  1 / max(score_i, 1ns)
 //
-// renormalized over the healthy set (floored, so nobody starves). `power`
-// sharpens the preference: 1.0 is plain inverse-latency proportionality;
-// large powers approach join-the-shortest-queue's winner-take-all behavior
-// and exhibit its herd oscillation.
+// renormalized over the healthy set (floored, so nobody starves): plain
+// inverse-latency proportionality.
 //
 // The stale-info variant (`view_refresh > 0`) recomputes from a *snapshot*
 // of the scores that only refreshes every `view_refresh`: between refreshes

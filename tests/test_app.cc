@@ -2,6 +2,8 @@
 // injectors, memtier-style client, bulk flows).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <memory>
 #include <tuple>
 
@@ -223,6 +225,34 @@ TEST(KvServer, GcPauseStallsAllWorkers) {
   EXPECT_LT(median, static_cast<double>(us(200)));
 }
 
+// Service time is the op's base cost whatever the value size: a SET of
+// 16 bytes and one of 8 KiB each hold a worker for exactly set_base.
+TEST(KvServer, ServiceTimeIgnoresValueLength) {
+  for (const std::uint32_t value_len : {16u, 8192u}) {
+    KvServerConfig sc;
+    sc.service_sigma = 0.0;
+    KvClientConfig cc;
+    cc.connections = 1;
+    cc.pipeline = 1;
+    cc.get_ratio = 0.0;  // SETs only
+    cc.value_len = value_len;
+    cc.requests_per_conn = 0;
+    KvRig rig{sc, cc};
+    rig.client->start();
+    rig.sim->run_until(ms(50));
+    rig.client->stop();
+    rig.sim->run_until(ms(60));
+    const std::uint64_t served = rig.server->requests_served();
+    ASSERT_GT(served, 100u) << "value_len " << value_len;
+    EXPECT_EQ(rig.server->sets(), served);
+    const double busy_ns =
+        rig.server->busy_worker_seconds(rig.sim->now()) * 1e9;
+    EXPECT_NEAR(busy_ns / static_cast<double>(served),
+                static_cast<double>(sc.set_base), 1e-3)
+        << "value_len " << value_len;
+  }
+}
+
 TEST(KvClient, PipelineBoundsOutstanding) {
   KvClientConfig cc;
   cc.connections = 1;
@@ -271,6 +301,34 @@ TEST(KvClient, GetRatioRespected) {
   ASSERT_GT(total, 500u);
   EXPECT_NEAR(static_cast<double>(gets) / static_cast<double>(total), 0.8,
               0.05);
+}
+
+// Keys are drawn uniformly: SETs fill a small keyspace completely, and over
+// a larger one the distinct-key count matches the coupon-collector mean.
+TEST(KvClient, KeysAreUniformOverTheKeyspace) {
+  KvClientConfig small;
+  small.connections = 1;
+  small.pipeline = 4;
+  small.get_ratio = 0.0;
+  small.keyspace = 16;
+  small.requests_per_conn = 0;
+  KvRig filled{{}, small};
+  filled.client->start();
+  filled.sim->run_until(ms(20));
+  EXPECT_EQ(filled.server->store_size(), 16u);
+
+  KvClientConfig large = small;
+  large.keyspace = 1000;
+  KvRig rig{{}, large};
+  rig.client->start();
+  rig.sim->run_until(ms(30));
+  const double n = static_cast<double>(rig.server->sets());
+  const double k = 1000.0;
+  ASSERT_GT(n, 500.0);
+  ASSERT_LT(n, 5000.0);  // keep the expected count well short of k
+  const double expected = k * (1.0 - std::pow(1.0 - 1.0 / k, n));
+  EXPECT_NEAR(static_cast<double>(rig.server->store_size()), expected,
+              0.05 * expected);
 }
 
 TEST(KvClient, ThinkTimePacesRequests) {
@@ -463,6 +521,44 @@ TEST(KvClient, SurvivesServerCrash) {
   EXPECT_GT(rig.client->connection_failures(), 0u);   // resets were seen
   EXPECT_GT(rig.client->connections_opened(), 2u);    // reconnected
   EXPECT_GT(rig.client->responses_received(), at_crash + 100);  // recovered
+}
+
+// A connection the server resets is reopened in the same instant the RST
+// lands: the client waits for nothing but a fresh event.
+TEST(KvClient, ReconnectsTheMomentAResetArrives) {
+  KvClientConfig cc;
+  cc.connections = 1;
+  cc.pipeline = 1;
+  cc.requests_per_conn = 0;
+  KvRig rig{{}, cc, us(25)};
+  SimTime rst_sent = kNoTime;
+  SimTime syn_after_rst = kNoTime;
+  struct Watch final : PacketObserver {
+    explicit Watch(std::function<void(const Packet&, Ipv4)> f)
+        : fn{std::move(f)} {}
+    void on_packet(const Packet& pkt, Ipv4 from, Ipv4) override {
+      fn(pkt, from);
+    }
+    std::function<void(const Packet&, Ipv4)> fn;
+  } watch{[&](const Packet& pkt, Ipv4 from) {
+    if (from == kServerAddr && pkt.has(tcpflag::kRst) && rst_sent == kNoTime) {
+      rst_sent = rig.sim->now();
+    }
+    if (from == kClientAddr && pkt.has(tcpflag::kSyn) && rst_sent != kNoTime &&
+        syn_after_rst == kNoTime) {
+      syn_after_rst = rig.sim->now();
+    }
+  }};
+  rig.net->set_observer(&watch);
+  rig.client->start();
+  rig.sim->schedule_at(ms(10), [&] { rig.server->abort_all_connections(); });
+  rig.sim->run_until(ms(20));
+  rig.net->set_observer(nullptr);
+  ASSERT_EQ(rst_sent, ms(10));
+  ASSERT_NE(syn_after_rst, kNoTime);
+  // One-way delay plus a few tens of nanoseconds of serialization.
+  EXPECT_GE(syn_after_rst - rst_sent, us(25));
+  EXPECT_LT(syn_after_rst - rst_sent, us(26));
 }
 
 }  // namespace

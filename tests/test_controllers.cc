@@ -25,6 +25,7 @@
 #include "core/controller_zoo.h"
 #include "core/gradient_controller.h"
 #include "core/server_latency_tracker.h"
+#include "core/shortest_queue_controller.h"
 #include "fault/fault_plan.h"
 #include "pinned_digests.h"
 #include "scenario/cluster_rig.h"
@@ -504,6 +505,54 @@ TEST(GradientDescent, StepDecayFloorsAtStepOverEightAtEpoch63) {
   }
   EXPECT_EQ(capped.epochs_seen(0), 200u);
   EXPECT_GT(compared_past_cap, 100);
+}
+
+// The first weight vector the shortest-queue law emits for one sample per
+// backend at the given latencies.
+std::vector<double> shortest_queue_weights(const std::vector<SimTime>& lat) {
+  ShortestQueueConfig cfg;
+  cfg.deadband = 0.0;
+  ShortestQueueController law{cfg};
+  ServerLatencyTracker tracker{lat.size()};
+  const std::vector<double> uniform(lat.size(),
+                                    1.0 / static_cast<double>(lat.size()));
+  for (int epoch = 0; epoch < 10; ++epoch) {
+    const SimTime now = cfg.epoch * (epoch + 1);
+    for (std::size_t b = 0; b < lat.size(); ++b) {
+      tracker.record(static_cast<BackendId>(b), now, lat[b]);
+    }
+    const auto d = law.control_step(tracker, uniform, now);
+    if (d.has_value()) {
+      EXPECT_TRUE(d->is_weight_vector());
+      return *d->weights;
+    }
+  }
+  ADD_FAILURE() << "no decision in 10 epochs";
+  return {};
+}
+
+TEST(ShortestQueue, SharesAreInverseToLatency) {
+  // Plain inverse-latency proportionality: 100us vs 300us splits 3:1.
+  const auto w = shortest_queue_weights({us(100), us(300)});
+  ASSERT_EQ(w.size(), 2u);
+  EXPECT_NEAR(w[0], 0.75, 1e-12);
+  EXPECT_NEAR(w[1], 0.25, 1e-12);
+}
+
+TEST(EpochWeightLaw, FloorIsTwoPercentOrHalfTheUniformShare) {
+  // Four backends: a server 1000x slower than the rest sits on the 2% floor.
+  std::vector<SimTime> four(4, us(100));
+  four[3] = ms(100);
+  const auto w4 = shortest_queue_weights(four);
+  ASSERT_EQ(w4.size(), 4u);
+  EXPECT_DOUBLE_EQ(w4[3], 0.02);
+  // Forty backends: 2% each would claim 80% of the mass, so the floor drops
+  // to half the uniform share, 1/80.
+  std::vector<SimTime> forty(40, us(100));
+  forty[39] = ms(100);
+  const auto w40 = shortest_queue_weights(forty);
+  ASSERT_EQ(w40.size(), 40u);
+  EXPECT_DOUBLE_EQ(w40[39], 1.0 / 80.0);
 }
 
 TEST(ShareMetrics, DrainDetectorFindsFirstCrossing) {

@@ -548,6 +548,17 @@ TEST(Tracker, ScoresListsOnlySampledBackends) {
   EXPECT_EQ(scores[0].last_sample, 0);
 }
 
+TEST(Tracker, EwmaScoreOutlivesTheP95Window) {
+  // The default EWMA mode keeps no sliding window: a score stays readable
+  // long after `window` has passed without samples.
+  ServerLatencyTracker tr{1};
+  tr.record(0, 0, us(100));
+  const auto later = tr.score(0, sec(1));
+  ASSERT_TRUE(later.has_value());
+  EXPECT_NEAR(*later, static_cast<double>(us(100)), 1.0);
+  EXPECT_EQ(tr.scores(sec(1)).size(), 1u);
+}
+
 TEST(Tracker, WindowedP95Mode) {
   LatencyTrackerConfig cfg;
   cfg.mode = LatencyScoreMode::kWindowedP95;

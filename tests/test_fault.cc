@@ -29,6 +29,7 @@
 #include "scenario/cluster_rig.h"
 #include "scenario/metrics.h"
 #include "sim/simulator.h"
+#include "util/logging.h"
 
 namespace inband {
 namespace {
@@ -162,7 +163,52 @@ TEST(FaultLayerMechanism, ReorderingActuallyReordersDelivery) {
   EXPECT_EQ(wire.audit_violations(), 0u);
 }
 
+TEST(FaultLayerMechanism, ReorderHoldIsWithinFiftyToFiveHundredMicros) {
+  FaultPlan plan;
+  plan.links.push_back({.reorder = 1.0});
+  FaultedWire wire{std::move(plan)};
+  // 1 ms apart: holds never interact, so each arrival shows its own hold.
+  constexpr SimTime kEvery = ms(1);
+  wire.send_spaced(500, kEvery);
+
+  ASSERT_EQ(wire.dst.arrivals.size(), 500u);
+  EXPECT_EQ(wire.layer.counters().value("fault.reorders"), 500u);
+  SimTime lo = kEndOfTime;
+  SimTime hi = 0;
+  for (const auto& [t, id] : wire.dst.arrivals) {
+    const SimTime sent = static_cast<SimTime>(id - 1) * kEvery;
+    const SimTime hold = t - sent - us(10);  // minus propagation
+    // [50us, 500us) plus well under 1us of serialization.
+    EXPECT_GE(hold, us(50)) << "pkt " << id;
+    EXPECT_LT(hold, us(501)) << "pkt " << id;
+    lo = std::min(lo, hold);
+    hi = std::max(hi, hold);
+  }
+  // 500 uniform draws reach both ends of the window.
+  EXPECT_LT(lo, us(100));
+  EXPECT_GT(hi, us(450));
+}
+
 // --- duplication ---
+
+TEST(FaultLayerMechanism, DuplicateCopyArrivesWithinFiveHundredMicros) {
+  FaultPlan plan;
+  plan.links.push_back({.duplicate = 1.0});
+  FaultedWire wire{std::move(plan)};
+  constexpr SimTime kEvery = ms(1);
+  wire.send_spaced(200, kEvery);
+
+  ASSERT_EQ(wire.dst.arrivals.size(), 400u);
+  SimTime hi = 0;
+  for (const auto& [t, id] : wire.dst.arrivals) {
+    const SimTime sent = static_cast<SimTime>(id - 1) * kEvery;
+    const SimTime hold = t - sent - us(10);
+    EXPECT_GE(hold, 0) << "pkt " << id;
+    EXPECT_LT(hold, us(501)) << "pkt " << id;
+    hi = std::max(hi, hold);
+  }
+  EXPECT_GT(hi, us(400));
+}
 
 TEST(FaultLayerMechanism, DuplicationDeliversExtraCopies) {
   FaultPlan plan;
@@ -304,6 +350,23 @@ TEST(FaultLayerMechanism, FlapWindowBlackholesItsInterval) {
                                    ms(2)),
             10u);
   EXPECT_EQ(wire.audit_violations(), 0u);
+}
+
+TEST(FaultLayerMechanism, FlapLogLinesCarryTheirSimTime) {
+  const LogLevel old = log_level();
+  set_log_level(LogLevel::kInfo);
+  FaultPlan plan;
+  plan.flaps.push_back({LinkScope::kAll, -1, ms(1), ms(2)});
+  FaultedWire wire{std::move(plan)};
+  testing::internal::CaptureStderr();
+  wire.send_spaced(30, us(100));
+  const std::string log = testing::internal::GetCapturedStderr();
+  set_log_level(old);
+  // The layer prints the simulated time it holds; no global clock does.
+  EXPECT_NE(log.find(": [1ms] fault: link flap down"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find(": [2ms] fault: link flap up"), std::string::npos)
+      << log;
 }
 
 // --- invariant auditor catches corrupt bookkeeping ---

@@ -355,6 +355,19 @@ TEST(ShardedRig, FaultPlanDeterministicAcrossWorkerCounts) {
   EXPECT_EQ(a.combined, b.combined);
 }
 
+TEST(ShardedRig, ShardSeedsStrideByOneThousand) {
+  // Shard s runs the template at addr_base s and seed template + 1000 * s,
+  // so shard 0 is the template itself.
+  const ShardedRigConfig cfg = sharded_config(3, 1, 0);
+  ShardedRig rig{cfg};
+  ASSERT_EQ(rig.num_shards(), 3);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_EQ(rig.shard(s).config().seed,
+              cfg.shard.seed + 1000 * static_cast<std::uint64_t>(s));
+    EXPECT_EQ(rig.shard(s).config().addr_base, s);
+  }
+}
+
 TEST(ShardedRig, SingleShardRemoteClientsUseLocalLinks) {
   // S=1 keeps the remote-client workload but wires it over ordinary local
   // links — no channels, no threads — and must still be reproducible.

@@ -4,6 +4,8 @@
 // static Maglev after a delay injection (Fig. 3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/ensemble_timeout.h"
 #include "core/fixed_timeout.h"
 #include "scenario/backlogged_rig.h"
@@ -71,6 +73,23 @@ TEST_F(BackloggedRigTest, GroundTruthShowsTheStep) {
   EXPECT_GT(before, static_cast<double>(us(180)));
   EXPECT_LT(before, static_cast<double>(us(300)));
   EXPECT_GT(after, before + static_cast<double>(us(1200)));
+}
+
+TEST_F(BackloggedRigTest, RttNeverBeatsThePropagationFloor) {
+  BackloggedRig rig{small_config()};
+  rig.run();
+  // Sender->LB 50us + LB->receiver 50us + receiver->sender 100us: jitter only
+  // ever adds to the 200us floor, and mostly adds little.
+  SimTime lo = kEndOfTime;
+  std::size_t counted = 0;
+  for (const Sample& s : rig.ground_truth()) {
+    if (s.t >= ms(600)) break;  // before the step
+    EXPECT_GE(s.value, us(200)) << "at " << s.t;
+    lo = std::min(lo, s.value);
+    ++counted;
+  }
+  ASSERT_GT(counted, 100u);
+  EXPECT_LT(lo, us(220));
 }
 
 TEST_F(BackloggedRigTest, EnsembleTracksStepFixedDoesNot) {

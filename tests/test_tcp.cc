@@ -502,7 +502,7 @@ TEST(TcpAck, DelayedAckHalvesAckCount) {
 TEST(TcpAck, DelackTimerFlushesOddSegment) {
   TcpConfig cfg;
   cfg.delayed_ack = true;
-  // Must stay below rto_min (5ms), as on real stacks, or the sender's
+  // Must stay below the 5 ms RTO floor, as on real stacks, or the sender's
   // retransmission races the delayed ACK.
   cfg.delack_timeout = ms(2);
   TcpRig rig{cfg};
@@ -999,6 +999,143 @@ TEST(TcpAck, ResponsesPiggybackAcks) {
   // The echo goes out in the same event as the request delivery, so the ACK
   // rides the response: no pure ACK per request from the server.
   EXPECT_LE(server_pure_acks, 2);
+}
+
+// --- fixed stack parameters ---
+
+// Drops every packet A sends: the peer is unreachable.
+struct BlackholeFromA final : SendInterceptor {
+  SendVerdict on_send(const Packet&, Ipv4 from, Ipv4) override {
+    SendVerdict v;
+    v.drop = from == kA;
+    return v;
+  }
+};
+
+// SYN send times of a client whose every packet is dropped, and when (and
+// how) it closed.
+struct UnansweredSyn {
+  std::vector<SimTime> syns;
+  SimTime closed_at = kNoTime;
+  bool reset = false;
+  std::uint64_t retransmits = 0;
+};
+
+UnansweredSyn run_unanswered_syn() {
+  TcpRig rig;
+  BlackholeFromA hole;
+  rig.net.set_interceptor(&hole);
+  UnansweredSyn out;
+  CallbackObserver obs{[&](const Packet& pkt, Ipv4 from, Ipv4) {
+    if (from == kA && pkt.has(tcpflag::kSyn)) out.syns.push_back(rig.sim.now());
+  }};
+  rig.net.set_observer(&obs);
+  rig.b.stack().listen(kPort, [](TcpConnection&) {});
+  auto* client = rig.a.stack().connect({kB, kPort});
+  client->callbacks().on_closed = [&](TcpConnection& c, bool reset) {
+    out.closed_at = rig.sim.now();
+    out.reset = reset;
+    out.retransmits = c.retransmits();
+  };
+  client->open();
+  rig.sim.run_until(sec(60));
+  rig.net.set_observer(nullptr);
+  rig.net.set_interceptor(nullptr);
+  return out;
+}
+
+TEST(TcpLoss, SynGivesUpAfterEightRetries) {
+  const UnansweredSyn r = run_unanswered_syn();
+  // The original SYN plus eight retransmissions; the ninth timeout aborts.
+  EXPECT_EQ(r.syns.size(), 9u);
+  EXPECT_EQ(r.retransmits, 8u);
+  ASSERT_NE(r.closed_at, kNoTime);
+  EXPECT_TRUE(r.reset);
+  // Timeouts at 50, 150, 350, 750, 1550, 3150, 6350, 10350, 14350 ms.
+  EXPECT_EQ(r.closed_at, ms(14350));
+}
+
+TEST(TcpLoss, SynBackoffDoublesUpToFourSeconds) {
+  const UnansweredSyn r = run_unanswered_syn();
+  ASSERT_EQ(r.syns.size(), 9u);
+  EXPECT_EQ(r.syns[0], 0);
+  // Gaps double from the 50 ms initial RTO until the 4 s ceiling holds them.
+  const SimTime expected[] = {ms(50),   ms(100),  ms(200), ms(400),
+                              ms(800),  ms(1600), ms(3200), sec(4)};
+  for (std::size_t i = 1; i < r.syns.size(); ++i) {
+    EXPECT_EQ(r.syns[i] - r.syns[i - 1], expected[i - 1]) << "retry " << i;
+  }
+}
+
+TEST(TcpClose, TimeWaitLingersTwoMilliseconds) {
+  TcpRig rig;
+  SimTime last_client_send = kNoTime;
+  SimTime client_closed_at = kNoTime;
+  CallbackObserver obs{[&](const Packet&, Ipv4 from, Ipv4) {
+    if (from == kA) last_client_send = rig.sim.now();
+  }};
+  rig.net.set_observer(&obs);
+  rig.b.stack().listen(kPort, [](TcpConnection& c) {
+    c.callbacks().on_peer_close = [](TcpConnection& conn) { conn.close(); };
+  });
+  auto* client = rig.a.stack().connect({kB, kPort});
+  client->callbacks().on_established = [](TcpConnection& c) { c.close(); };
+  client->callbacks().on_closed = [&](TcpConnection&, bool) {
+    client_closed_at = rig.sim.now();
+  };
+  client->open();
+  rig.sim.run_until(sec(1));
+  rig.net.set_observer(nullptr);
+  // The active closer ACKs the peer's FIN, lingers in TIME_WAIT, then reaps.
+  ASSERT_NE(last_client_send, kNoTime);
+  ASSERT_NE(client_closed_at, kNoTime);
+  EXPECT_EQ(client_closed_at - last_client_send, ms(2));
+  EXPECT_EQ(rig.a.stack().connection_count(), 0u);
+}
+
+TEST(TcpHandshake, EmptyReceiverAdvertisesOneMebibyte) {
+  TcpRig rig;
+  std::vector<std::uint32_t> syn_windows;
+  CallbackObserver obs{[&](const Packet& pkt, Ipv4, Ipv4) {
+    if (pkt.has(tcpflag::kSyn)) syn_windows.push_back(pkt.wnd);
+  }};
+  rig.net.set_observer(&obs);
+  rig.b.stack().listen(kPort, [](TcpConnection&) {});
+  rig.a.stack().connect({kB, kPort})->open();
+  rig.sim.run_until(ms(10));
+  rig.net.set_observer(nullptr);
+  // SYN and SYN-ACK both advertise the whole (empty) receive buffer.
+  ASSERT_EQ(syn_windows.size(), 2u);
+  for (const std::uint32_t w : syn_windows) EXPECT_EQ(w, 1u << 20);
+}
+
+// ISNs of the first three connections a host with stack seed `seed` opens.
+std::vector<std::uint32_t> first_isns(std::uint64_t seed) {
+  Simulator sim;
+  Network net{sim};
+  TcpHost a{sim, net, kA, "a", {}, seed};
+  TcpHost b{sim, net, kB, "b", {}, 2};
+  net.add_duplex_link(kA, kB, {1'000'000'000, us(50), 0});
+  std::vector<std::uint32_t> isns;
+  CallbackObserver obs{[&](const Packet& pkt, Ipv4 from, Ipv4) {
+    if (from == kA && pkt.has(tcpflag::kSyn)) isns.push_back(pkt.seq);
+  }};
+  net.set_observer(&obs);
+  b.stack().listen(kPort, [](TcpConnection&) {});
+  for (int i = 0; i < 3; ++i) a.stack().connect({kB, kPort})->open();
+  sim.run_until(ms(10));
+  net.set_observer(nullptr);
+  return isns;
+}
+
+TEST(TcpStack, IsnsAreDrawnFromTheStackSeed) {
+  const auto isns = first_isns(1);
+  ASSERT_EQ(isns.size(), 3u);
+  EXPECT_NE(isns[0], isns[1]);
+  EXPECT_NE(isns[1], isns[2]);
+  EXPECT_NE(isns[0], isns[2]);
+  EXPECT_EQ(first_isns(1), isns);  // reproducible per seed
+  EXPECT_NE(first_isns(99), isns);
 }
 
 }  // namespace

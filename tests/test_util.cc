@@ -7,6 +7,7 @@
 #include <numeric>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 
 #include "net/flow.h"
@@ -297,6 +298,20 @@ TEST(Logging, LevelGate) {
   EXPECT_FALSE(log_enabled(LogLevel::kInfo));
   EXPECT_TRUE(log_enabled(LogLevel::kError));
   set_log_level(old);
+}
+
+TEST(Logging, LinePrintsLevelSiteAndMessageOnly) {
+  const LogLevel old = log_level();
+  set_log_level(LogLevel::kInfo);
+  testing::internal::CaptureStderr();
+  const int line = __LINE__ + 1;
+  LOG_WARN() << "queue " << 3 << " is deep";
+  const std::string out = testing::internal::GetCapturedStderr();
+  set_log_level(old);
+  // No clock or other global prefix: a site that knows the simulated time
+  // prints it itself.
+  EXPECT_EQ(out, "[WARN ] test_util.cc:" + std::to_string(line) +
+                     ": queue 3 is deep\n");
 }
 
 // --- assertion macros ---
