@@ -49,12 +49,10 @@ void KvClient::open_connection(int slot_index) {
   cb.on_established = [this, slot_index](TcpConnection&) {
     fill_pipeline(slot_index);
   };
-  cb.on_message = [this, slot_index](TcpConnection&,
-                                     std::shared_ptr<const AppPayload> p) {
-    auto resp = std::dynamic_pointer_cast<const KvMessage>(p);
-    INBAND_ASSERT(resp != nullptr, "non-KV payload at KV client");
-    INBAND_ASSERT(resp->kind == KvKind::kResponse);
-    on_response(slot_index, *resp);
+  cb.on_message = [this, slot_index](TcpConnection&, const PayloadRef& p) {
+    const KvMessage& resp = payload_as<KvMessage>(p);
+    INBAND_ASSERT(resp.kind == KvKind::kResponse);
+    on_response(slot_index, resp);
   };
   cb.on_closed = [this, slot_index](TcpConnection&, bool reset) {
     on_conn_closed(slot_index, reset);
@@ -74,18 +72,18 @@ void KvClient::fill_pipeline(int slot_index) {
 
 void KvClient::issue_request(int slot_index) {
   auto& slot = slots_[static_cast<std::size_t>(slot_index)];
-  auto req = msg_pool_.make();
-  req->kind = KvKind::kRequest;
-  req->op = rng_.bernoulli(config_.get_ratio) ? KvOp::kGet : KvOp::kSet;
-  req->id = next_request_id_++;
-  req->key = rng_.uniform_u64(0, config_.keyspace - 1);
-  req->value_len = req->op == KvOp::kSet ? config_.value_len : 0;
-  req->created_at = host_.sim().now();
-  const std::uint32_t wire = kv_request_wire_size(req->op, req->value_len);
+  KvMessage req;
+  req.kind = KvKind::kRequest;
+  req.op = rng_.bernoulli(config_.get_ratio) ? KvOp::kGet : KvOp::kSet;
+  req.id = next_request_id_++;
+  req.key = rng_.uniform_u64(0, config_.keyspace - 1);
+  req.value_len = req.op == KvOp::kSet ? config_.value_len : 0;
+  req.created_at = host_.sim().now();
+  const std::uint32_t wire = kv_request_wire_size(req.op, req.value_len);
   ++slot.issued;
   ++slot.outstanding;
   ++requests_sent_;
-  slot.conn->send_message(std::move(req), wire);
+  slot.conn->send_message(msg_pool_.make(req), wire);
 }
 
 void KvClient::on_response(int slot_index, const KvMessage& resp) {

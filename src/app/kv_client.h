@@ -23,7 +23,6 @@
 #include "util/hotpath.h"
 #include "util/rng.h"
 #include "util/shard.h"
-#include "util/shared_pool.h"
 
 namespace inband {
 
@@ -94,7 +93,7 @@ class KvClient {
   TcpHost& host_;
   KvClientConfig config_;
   Rng rng_;
-  SharedPool<KvMessage> msg_pool_;  // recycles request objects
+  PayloadPool<KvMessage> msg_pool_;  // recycles request objects
   Recorder recorder_;
   std::vector<ConnSlot> slots_;
   bool running_ = false;

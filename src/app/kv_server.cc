@@ -40,13 +40,10 @@ void KvServer::abort_all_connections() {
 
 void KvServer::on_accept(TcpConnection& conn) {
   open_conns_.emplace(conn.key(), &conn);
-  conn.callbacks().on_message =
-      [this](TcpConnection& c, std::shared_ptr<const AppPayload> payload) {
-        auto req = std::dynamic_pointer_cast<const KvMessage>(payload);
-        INBAND_ASSERT(req != nullptr, "non-KV payload at KV server");
-        INBAND_ASSERT(req->kind == KvKind::kRequest);
-        on_request(c, std::move(req));
-      };
+  conn.callbacks().on_message = [this](TcpConnection& c,
+                                       const PayloadRef& payload) {
+    on_request(c, payload);
+  };
   conn.callbacks().on_peer_close = [](TcpConnection& c) { c.close(); };
   conn.callbacks().on_closed = [this](TcpConnection& c, bool /*reset*/) {
     open_conns_.erase(c.key());
@@ -58,9 +55,9 @@ bool KvServer::still_open(const Pending& work) const {
   return it != open_conns_.end() && it->second == work.conn;
 }
 
-void KvServer::on_request(TcpConnection& conn,
-                          std::shared_ptr<const KvMessage> request) {
-  Pending work{&conn, conn.key(), std::move(request)};
+void KvServer::on_request(TcpConnection& conn, const PayloadRef& request) {
+  INBAND_ASSERT(payload_as<KvMessage>(request).kind == KvKind::kRequest);
+  Pending work{&conn, conn.key(), request};
   if (busy_workers_ < config_.workers) {
     start_processing(std::move(work));
   } else {
@@ -103,7 +100,7 @@ void KvServer::start_processing(Pending work) {
   for (auto& inj : injectors_) {
     start_at = std::max(start_at, inj->frozen_until(now));
   }
-  const SimTime svc = service_time(*work.request);
+  const SimTime svc = service_time(payload_as<KvMessage>(work.request));
   account_busy(now, +1);
   host_.sim().schedule_at(start_at + svc,
                           [this, w = std::move(work)]() mutable {
@@ -115,7 +112,7 @@ void KvServer::finish(Pending work) {
   const SimTime now = host_.sim().now();
   account_busy(now, -1);
 
-  const KvMessage& req = *work.request;
+  const KvMessage& req = payload_as<KvMessage>(work.request);
   bool hit = false;
   std::uint32_t value_len = 0;
   if (req.op == KvOp::kSet) {
@@ -135,10 +132,8 @@ void KvServer::finish(Pending work) {
 
   // The connection may have died while the request was in service.
   if (still_open(work) && work.conn->can_send()) {
-    auto resp = msg_pool_.make();
-    fill_kv_response(*resp, req, hit, value_len);
-    const std::uint32_t wire = kv_response_wire_size(*resp);
-    work.conn->send_message(std::move(resp), wire);
+    const KvMessage resp = make_kv_response(req, hit, value_len);
+    work.conn->send_message(msg_pool_.make(resp), kv_response_wire_size(resp));
   }
 
   if (!queue_.empty() && busy_workers_ < config_.workers) {

@@ -23,7 +23,6 @@
 #include "util/ring_buffer.h"
 #include "util/rng.h"
 #include "util/shard.h"
-#include "util/shared_pool.h"
 
 namespace inband {
 
@@ -69,15 +68,14 @@ class KvServer {
   struct Pending {
     TcpConnection* conn;
     FlowKey key;  // conn's key, for still_open()
-    std::shared_ptr<const KvMessage> request;
+    PayloadRef request;  // a KvMessage
   };
 
   // Whether the connection `work` came in on is still open.
   bool still_open(const Pending& work) const;
 
   void on_accept(TcpConnection& conn);
-  INBAND_HOT void on_request(TcpConnection& conn,
-                             std::shared_ptr<const KvMessage> request);
+  INBAND_HOT void on_request(TcpConnection& conn, const PayloadRef& request);
   void start_processing(Pending work);
   INBAND_HOT void finish(Pending work);
   SimTime service_time(const KvMessage& request);
@@ -86,7 +84,7 @@ class KvServer {
   TcpHost& host_;
   KvServerConfig config_;
   Rng rng_;
-  SharedPool<KvMessage> msg_pool_;  // recycles response objects
+  PayloadPool<KvMessage> msg_pool_;  // recycles response objects
   std::vector<std::unique_ptr<VariabilityInjector>> injectors_;
   OpenHashMap<std::uint64_t, std::uint32_t> store_;  // key -> size
   // Open connections by key. Keyed on the flow rather than the pointer, so

@@ -13,8 +13,9 @@ std::uint32_t kv_response_wire_size(const KvMessage& response) {
   return kKvResponseHeader;
 }
 
-void fill_kv_response(KvMessage& out, const KvMessage& req, bool hit,
-                      std::uint32_t value_len) {
+KvMessage make_kv_response(const KvMessage& req, bool hit,
+                           std::uint32_t value_len) {
+  KvMessage out;
   out.kind = KvKind::kResponse;
   out.op = req.op;
   out.id = req.id;
@@ -22,13 +23,7 @@ void fill_kv_response(KvMessage& out, const KvMessage& req, bool hit,
   out.hit = hit;
   out.value_len = value_len;
   out.created_at = req.created_at;
-}
-
-std::shared_ptr<KvMessage> make_kv_response(const KvMessage& req, bool hit,
-                                            std::uint32_t value_len) {
-  auto resp = std::make_shared<KvMessage>();
-  fill_kv_response(*resp, req, hit, value_len);
-  return resp;
+  return out;
 }
 
 }  // namespace inband

@@ -8,9 +8,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.h"
+#include "net/payload_pool.h"
 #include "util/time.h"
 
 namespace inband {
@@ -18,7 +18,7 @@ namespace inband {
 enum class KvOp : std::uint8_t { kGet, kSet };
 enum class KvKind : std::uint8_t { kRequest, kResponse };
 
-struct KvMessage final : AppPayload {
+struct KvMessage final : PooledPayload<KvMessage> {
   KvKind kind = KvKind::kRequest;
   KvOp op = KvOp::kGet;
   std::uint64_t id = 0;
@@ -30,8 +30,8 @@ struct KvMessage final : AppPayload {
   // KV messages cross shard boundaries (remote clients in the sharded rig);
   // the clone is a plain heap copy, deliberately NOT pool-backed — the copy
   // is owned by the receiving shard, whose pools it does not belong to.
-  std::shared_ptr<const AppPayload> clone_detached() const override {
-    return std::make_shared<KvMessage>(*this);
+  PayloadRef clone_detached() const override {
+    return make_payload<KvMessage>(*this);
   }
 };
 
@@ -42,13 +42,8 @@ inline constexpr std::uint32_t kKvResponseHeader = 32;
 std::uint32_t kv_request_wire_size(KvOp op, std::uint32_t value_len);
 std::uint32_t kv_response_wire_size(const KvMessage& response);
 
-// Fills `out` with the response to `req` (store effects are applied by the
-// server). Split out so pooled allocation (util/shared_pool.h) can reuse it.
-void fill_kv_response(KvMessage& out, const KvMessage& req, bool hit,
-                      std::uint32_t value_len);
-
-// Builds the response to `req` with a fresh heap allocation.
-std::shared_ptr<KvMessage> make_kv_response(const KvMessage& req, bool hit,
-                                            std::uint32_t value_len);
+// The response to `req` (store effects are applied by the server).
+KvMessage make_kv_response(const KvMessage& req, bool hit,
+                           std::uint32_t value_len);
 
 }  // namespace inband

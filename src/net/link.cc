@@ -1,6 +1,7 @@
 #include "net/link.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/assert.h"
@@ -17,9 +18,18 @@ Link::Link(Simulator& sim, LinkParams params)
 
 SimTime Link::serialization_delay(std::uint64_t bytes) const {
   // ns = bytes * 8 * 1e9 / bps, rounded up so zero-cost packets cannot exist.
-  const auto num = static_cast<__uint128_t>(bytes) * 8u * 1'000'000'000u;
-  const auto d = static_cast<SimTime>(
-      (num + params_.bandwidth_bps - 1) / params_.bandwidth_bps);
+  // 64-bit division whenever the numerator fits (any packet or queue below
+  // ~2.3 GB); the 128-bit path gives the same quotient beyond that.
+  constexpr std::uint64_t kBitNs = 8'000'000'000;  // bits/byte * ns/s
+  const std::uint64_t bps = params_.bandwidth_bps;
+  SimTime d = 0;
+  if (bytes <= std::numeric_limits<std::uint64_t>::max() / kBitNs) {
+    const std::uint64_t num = bytes * kBitNs;
+    d = static_cast<SimTime>(num / bps + (num % bps != 0 ? 1 : 0));
+  } else {
+    const auto num = static_cast<__uint128_t>(bytes) * kBitNs;
+    d = static_cast<SimTime>((num + bps - 1) / bps);
+  }
   return std::max<SimTime>(d, 1);
 }
 

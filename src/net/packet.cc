@@ -26,23 +26,13 @@ std::string format_packet(const Packet& p) {
 
 Packet detach_packet_copy(const Packet& src) {
   Packet out;
-  out.flow = src.flow;
-  out.seq = src.seq;
-  out.ack = src.ack;
-  out.wnd = src.wnd;
-  out.flags = src.flags;
-  out.payload_len = src.payload_len;
-  out.ts_val = src.ts_val;
-  out.ts_ecr = src.ts_ecr;
-  out.pkt_id = src.pkt_id;
-  out.sent_at = src.sent_at;
+  static_cast<PacketHeader&>(out) = src;
   for (const MessageRef& m : src.msgs) {
-    std::shared_ptr<const AppPayload> clone;
-    if (m.payload != nullptr) {
+    PayloadRef clone;
+    if (m.payload) {
       clone = m.payload->clone_detached();
-      INBAND_ASSERT(clone != nullptr,
-                    "payload type cannot cross shards: clone_detached() "
-                    "is not implemented");
+      INBAND_ASSERT(clone, "payload type cannot cross shards: "
+                           "clone_detached() is not implemented");
     }
     out.msgs.push_msg(MessageRef{m.end_offset, std::move(clone)});
   }

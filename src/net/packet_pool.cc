@@ -17,6 +17,12 @@ PacketPool::~PacketPool() {
 
 PacketPool::Stats PacketPool::stats() const { return state_->stats; }
 
+void PacketRef::release() {
+  state_->release(pkt_);
+  state_ = nullptr;
+  pkt_ = nullptr;
+}
+
 void PacketPool::State::grow() {
   chunks.push_back(std::make_unique<Packet[]>(kChunkPackets));
   Packet* chunk = chunks.back().get();

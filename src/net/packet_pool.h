@@ -12,9 +12,8 @@
 // is kept alive by outstanding refs. Delivery events holding PacketRefs may
 // outlive the Network that owns the pool (ClusterRig destroys the simulator
 // last); a ref released after the pool's destruction frees the orphaned
-// state when the last one goes. Same orphan-safe shape as util/shared_pool.h,
-// but with an intrusive count instead of shared_ptr so acquire/release touch
-// no refcounted control blocks.
+// state when the last one goes. net/payload_pool.h gives application
+// payloads the same orphan-safe shape.
 #pragma once
 
 #include <cstdint>
@@ -122,18 +121,19 @@ class PacketRef {
     return pkt_;
   }
 
+  // Most handles die moved-from, so the null test stays inline and the
+  // slot release does not.
   INBAND_HOT void reset() {
-    if (pkt_ != nullptr) {
-      state_->release(pkt_);
-      state_ = nullptr;
-      pkt_ = nullptr;
-    }
+    if (pkt_ != nullptr) release();
   }
 
  private:
   friend class PacketPool;
   PacketRef(PacketPool::State* state, Packet* pkt)
       : state_{state}, pkt_{pkt} {}
+
+  // Returns the slot to its pool and empties the handle.
+  void release();
 
   PacketPool::State* state_ = nullptr;
   Packet* pkt_ = nullptr;
@@ -147,7 +147,8 @@ inline PacketRef PacketPool::acquire() {
   }
   Packet* pkt = s.free_list.back();
   s.free_list.pop_back();
-  *pkt = Packet{};  // slot was released with msgs cleared; resets the PODs
+  INBAND_DCHECK(pkt->msgs.empty());  // emptied at release
+  static_cast<PacketHeader&>(*pkt) = PacketHeader{};
   ++s.stats.acquired;
   ++s.stats.outstanding;
   if (s.stats.outstanding > s.stats.high_water) {

@@ -14,9 +14,9 @@
 //   * announce(frontier) raises the horizon word to frontier + L (monotone),
 //     *after* any pushes from the same slice — release order matters and is
 //     provided by the atomic store. It also reclaims consumed slots:
-//     producer-side destruction, because the payloads hold shard-local
-//     resources (pooled shared_ptrs) whose teardown must stay on the owning
-//     thread (util/spsc_queue.h).
+//     producer-side destruction, because a slot's packet holds PayloadRefs
+//     whose non-atomic counts (and pooled storage) belong to the producing
+//     shard's thread (util/spsc_queue.h).
 //
 // Consumer side (destination shard's worker):
 //   * lower_bound() is the conservative bound: the head's deliver time when
@@ -27,7 +27,8 @@
 //     "nothing below the horizon".
 //   * take_detached() deep-copies the head packet with fresh message
 //     ownership (AppPayload::clone_detached) and consumes the slot. The
-//     consumer never copies or destroys the producer's shared_ptrs.
+//     consumer reads the producer's payloads but never copies or drops a
+//     PayloadRef to them, so no count is touched off its shard.
 #pragma once
 
 #include <atomic>

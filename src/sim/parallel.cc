@@ -53,11 +53,13 @@ void run_shard_programs(const std::vector<ShardProgram*>& programs,
       std::swap(order[i - 1], order[rng.uniform_u64(0, i - 1)]);
     }
   }
-  std::vector<std::vector<ShardProgram*>> assigned(
-      static_cast<std::size_t>(workers));
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    assigned[i % static_cast<std::size_t>(workers)].push_back(
-        programs[order[i]]);
+  // Contiguous blocks: ring neighbours share a worker, so most channel
+  // traffic stays on one thread and fewer shards wait on another worker.
+  const std::size_t n = order.size();
+  const auto w = static_cast<std::size_t>(workers);
+  std::vector<std::vector<ShardProgram*>> assigned(w);
+  for (std::size_t i = 0; i < n; ++i) {
+    assigned[i * w / n].push_back(programs[order[i]]);
   }
 
   if (workers == 1) {

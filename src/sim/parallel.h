@@ -62,10 +62,12 @@ class ShardProgram {
 };
 
 // Drives the programs to completion across `workers` OS threads with a
-// static assignment (program order dealt round-robin). `sched_seed != 0`
-// permutes the order first: placement must affect wall-clock only, never
-// results, and the tests sweep seeds to prove it. With workers == 1 the
-// programs run inline on the calling thread — the no-thread oracle path.
+// static assignment: program order is dealt in contiguous blocks (program i
+// to worker i * workers / n), so neighbours in the order share a worker.
+// `sched_seed != 0` permutes the order first: placement must affect
+// wall-clock only, never results, and the tests sweep seeds to prove it.
+// With workers == 1 the programs run inline on the calling thread — the
+// no-thread oracle path.
 void run_shard_programs(const std::vector<ShardProgram*>& programs,
                         int workers, std::uint64_t sched_seed = 0);
 

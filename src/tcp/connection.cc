@@ -125,8 +125,7 @@ void TcpConnection::open() {
   arm_retx();
 }
 
-void TcpConnection::send_message(std::shared_ptr<const AppPayload> payload,
-                                 std::uint32_t wire_bytes) {
+void TcpConnection::send_message(PayloadRef payload, std::uint32_t wire_bytes) {
   INBAND_ASSERT(!close_requested_, "send after close()");
   send_buf_.append_message(std::move(payload), wire_bytes);
   try_send();

@@ -6,8 +6,7 @@
 
 namespace inband {
 
-void SendBuffer::append_message(std::shared_ptr<const AppPayload> payload,
-                                std::uint32_t wire_bytes) {
+void SendBuffer::append_message(PayloadRef payload, std::uint32_t wire_bytes) {
   INBAND_ASSERT(wire_bytes > 0, "empty message");
   end_ += wire_bytes;
   msgs_.push({end_, std::move(payload)});

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "net/packet.h"
 #include "util/ring_buffer.h"
@@ -26,8 +25,7 @@ class SendBuffer {
   void append_bytes(std::uint64_t n) { end_ += n; }
 
   // Appends one application message occupying `wire_bytes` bytes.
-  void append_message(std::shared_ptr<const AppPayload> payload,
-                      std::uint32_t wire_bytes);
+  void append_message(PayloadRef payload, std::uint32_t wire_bytes);
 
   // One past the last queued byte (absolute stream offset).
   std::uint64_t end() const { return end_; }

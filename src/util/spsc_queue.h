@@ -13,12 +13,13 @@
 //
 //  * Producer-side reclamation. Slots are destroyed (assigned T{}) by the
 //    PRODUCER, after the consumer publishes how far it has read. The payload
-//    types crossing shards hold shard-local resources (SharedPool-backed
-//    shared_ptrs whose deleters touch a free list owned by the producing
-//    shard); destroying them on the consumer thread would race. The consumer
-//    only ever reads a slot and bumps an atomic counter — it never runs a
-//    destructor of a producer-owned value. Consumers that need to keep data
-//    must deep-copy out of the slot (see ShardChannel::pop).
+//    types crossing shards hold shard-local resources (PayloadRefs whose
+//    non-atomic counts, and the pools their last drop recycles into, belong
+//    to the producing shard); destroying them on the consumer thread would
+//    race. The consumer only ever reads a slot and bumps an atomic counter —
+//    it never runs a destructor of a producer-owned value. Consumers that
+//    need to keep data must deep-copy out of the slot (see
+//    ShardChannel::take_detached).
 //
 // Memory ordering: the producer publishes a slot by storing the chunk's
 // `filled` count with release after writing the slot; the consumer loads it

@@ -43,13 +43,35 @@ TEST(KvProtocol, ResponseEchoesRequestFields) {
   req.key = 1234;
   req.op = KvOp::kGet;
   req.created_at = us(55);
-  const auto resp = make_kv_response(req, true, 512);
-  EXPECT_EQ(resp->kind, KvKind::kResponse);
-  EXPECT_EQ(resp->id, 99u);
-  EXPECT_EQ(resp->key, 1234u);
-  EXPECT_TRUE(resp->hit);
-  EXPECT_EQ(resp->value_len, 512u);
-  EXPECT_EQ(resp->created_at, us(55));
+  const KvMessage resp = make_kv_response(req, true, 512);
+  EXPECT_EQ(resp.kind, KvKind::kResponse);
+  EXPECT_EQ(resp.id, 99u);
+  EXPECT_EQ(resp.key, 1234u);
+  EXPECT_TRUE(resp.hit);
+  EXPECT_EQ(resp.value_len, 512u);
+  EXPECT_EQ(resp.created_at, us(55));
+}
+
+TEST(KvProtocol, CloneDetachedIsAnUnpooledCopy) {
+  PayloadPool<KvMessage> pool;
+  KvMessage req;
+  req.id = 7;
+  req.op = KvOp::kSet;
+  req.value_len = 64;
+  PayloadRef original = pool.make(req);
+  PayloadRef clone = original->clone_detached();
+  ASSERT_TRUE(clone);
+  EXPECT_NE(clone.get(), original.get());
+  const KvMessage& copy = payload_as<KvMessage>(clone);
+  EXPECT_EQ(copy.id, 7u);
+  EXPECT_EQ(copy.op, KvOp::kSet);
+  EXPECT_EQ(copy.value_len, 64u);
+  EXPECT_EQ(original.use_count(), 1u);  // fresh ownership on each side
+  EXPECT_EQ(clone.use_count(), 1u);
+  clone.reset();
+  EXPECT_EQ(pool.free_blocks(), 0u);  // the clone was deleted, not pooled
+  original.reset();
+  EXPECT_EQ(pool.free_blocks(), 1u);
 }
 
 // --- server + client end to end (direct link, no LB) ---

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <unordered_set>
 
 #include "check/reference_models.h"
 #include "net/network.h"
 #include "net/packet_pool.h"
+#include "net/payload_pool.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
 
@@ -108,6 +111,32 @@ TEST(Link, SerializationDelayScalesWithSize) {
   Link link{sim, {1'000'000'000, 0, 0}};
   EXPECT_EQ(link.serialization_delay(1000), 8000);
   EXPECT_EQ(link.serialization_delay(1), 8);
+}
+
+// The formula serialization_delay used before its 64-bit fast path.
+SimTime serialization_delay_128(std::uint64_t bytes, std::uint64_t bps) {
+  const auto num = static_cast<__uint128_t>(bytes) * 8u * 1'000'000'000u;
+  return std::max<SimTime>(static_cast<SimTime>((num + bps - 1) / bps), 1);
+}
+
+TEST(Link, SerializationDelayMatchesTheWideFormulaAtItsEdges) {
+  Simulator sim;
+  // The largest byte count whose bytes * 8e9 still fits in 64 bits.
+  constexpr std::uint64_t kFits =
+      std::numeric_limits<std::uint64_t>::max() / 8'000'000'000u;
+  for (const std::uint64_t bps :
+       {std::uint64_t{10'000'000'000}, std::uint64_t{1'000'000'000},
+        std::uint64_t{999'999'937}, std::uint64_t{3},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    Link link{sim, {bps, 0, 1'500'000}};
+    for (const std::uint64_t bytes :
+         {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{1500},
+          link.params().queue_bytes, kFits - 1, kFits, kFits + 1}) {
+      EXPECT_EQ(link.serialization_delay(bytes),
+                serialization_delay_128(bytes, bps))
+          << "bytes=" << bytes << " bps=" << bps;
+    }
+  }
 }
 
 TEST(Link, DeliveryTimeIncludesPropAndSerialization) {
@@ -418,6 +447,179 @@ TEST(PacketPool, AcquireReleaseRecycles) {
   }
   EXPECT_EQ(pool.stats().acquired, 2u);
   EXPECT_EQ(pool.stats().released, 2u);
+}
+
+// --- payload ownership ---
+
+// Counts live instances, so a test can see when the last ref let go.
+struct LivePayload final : AppPayload {
+  explicit LivePayload(int* live) : live_{live} { ++*live_; }
+  ~LivePayload() override { --*live_; }
+  int* live_;
+};
+
+struct LivePooled final : PooledPayload<LivePooled> {
+  explicit LivePooled(int* live) : live_{live} { ++*live_; }
+  LivePooled(const LivePooled& other)
+      : PooledPayload{other}, live_{other.live_} {
+    ++*live_;
+  }
+  ~LivePooled() override { --*live_; }
+  int* live_;
+};
+
+TEST(PayloadRef, CopyMoveAndResetTrackTheCount) {
+  int live = 0;
+  PayloadRef a = make_payload<LivePayload>(&live);
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(a.use_count(), 1u);
+  {
+    PayloadRef b = a;
+    EXPECT_EQ(a.use_count(), 2u);
+    PayloadRef c = std::move(b);
+    EXPECT_FALSE(b);
+    EXPECT_EQ(c.get(), a.get());
+    EXPECT_EQ(a.use_count(), 2u);
+    PayloadRef d;
+    d = c;
+    EXPECT_EQ(a.use_count(), 3u);
+    d = PayloadRef{};
+    EXPECT_EQ(a.use_count(), 2u);
+  }
+  EXPECT_EQ(a.use_count(), 1u);
+  a = a;  // self-assignment keeps the ref
+  EXPECT_EQ(a.use_count(), 1u);
+  a.reset();
+  EXPECT_FALSE(a);
+  EXPECT_EQ(live, 0);
+  a.reset();  // resetting an empty handle is a no-op
+}
+
+TEST(MsgList, CopyAndMoveAdjustPayloadCounts) {
+  int live = 0;
+  const PayloadRef p = make_payload<LivePayload>(&live);
+  {
+    MessageRef m{10, p};
+    EXPECT_EQ(p.use_count(), 2u);
+    MessageRef moved = std::move(m);
+    EXPECT_FALSE(m.payload);
+    EXPECT_EQ(p.use_count(), 2u);
+  }
+  EXPECT_EQ(p.use_count(), 1u);
+  // Inline (two refs) and spilled (three refs) lists alike.
+  for (const std::uint32_t n : {2u, 3u}) {
+    MsgList list;
+    for (std::uint32_t i = 0; i < n; ++i) list.push_msg({i, p});
+    EXPECT_EQ(p.use_count(), 1 + n);
+    MsgList copy = list;
+    EXPECT_EQ(p.use_count(), 1 + 2 * n);
+    MsgList moved = std::move(copy);
+    EXPECT_TRUE(copy.empty());
+    EXPECT_EQ(p.use_count(), 1 + 2 * n);
+    copy = moved;
+    EXPECT_EQ(p.use_count(), 1 + 3 * n);
+    moved = std::move(copy);  // the overwritten list's refs drop
+    EXPECT_EQ(p.use_count(), 1 + 2 * n);
+    moved.clear();
+    EXPECT_EQ(p.use_count(), 1 + n);
+    moved.clear();  // clearing an empty list is a no-op
+    EXPECT_EQ(p.use_count(), 1 + n);
+  }
+  EXPECT_EQ(p.use_count(), 1u);
+  EXPECT_EQ(live, 1);
+}
+
+TEST(PayloadPool, RecyclesStorageOfTheLastDroppedObject) {
+  int live = 0;
+  PayloadPool<LivePooled> pool;
+  PayloadRef a = pool.make(&live);
+  const AppPayload* first = a.get();
+  EXPECT_EQ(pool.free_blocks(), 0u);
+  PayloadRef b = a;
+  a.reset();
+  EXPECT_EQ(pool.free_blocks(), 0u);  // b still holds it
+  b.reset();
+  EXPECT_EQ(live, 0);  // destroyed...
+  EXPECT_EQ(pool.free_blocks(), 1u);  // ...and its storage kept
+  PayloadRef c = pool.make(&live);
+  EXPECT_EQ(c.get(), first);
+  EXPECT_EQ(pool.free_blocks(), 0u);
+  EXPECT_EQ(live, 1);
+}
+
+TEST(PayloadPool, PayloadOutlivingItsPoolIsFreedByItsLastRef) {
+  int live = 0;
+  PayloadRef survivor;
+  {
+    PayloadPool<LivePooled> pool;
+    survivor = pool.make(&live);
+    PayloadRef returned = pool.make(&live);
+  }  // pool gone with one object still out: its state is orphaned
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(survivor.use_count(), 1u);
+  survivor.reset();  // frees the object and the orphaned state (LSan)
+  EXPECT_EQ(live, 0);
+}
+
+TEST(PayloadPool, CopiesOfPooledPayloadsAreNotPooled) {
+  int live = 0;
+  PayloadPool<LivePooled> pool;
+  PayloadRef pooled = pool.make(&live);
+  PayloadRef copy = make_payload<LivePooled>(payload_as<LivePooled>(pooled));
+  EXPECT_EQ(live, 2);
+  EXPECT_EQ(pooled.use_count(), 1u);  // the copy starts its own count
+  EXPECT_EQ(copy.use_count(), 1u);
+  copy.reset();
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(pool.free_blocks(), 0u);  // deleted, not returned to the pool
+  pooled.reset();
+  EXPECT_EQ(pool.free_blocks(), 1u);
+}
+
+TEST(PayloadRef, PayloadAsChecksTheExactType) {
+  int live = 0;
+  const PayloadRef p = make_payload<LivePayload>(&live);
+  EXPECT_EQ(payload_as<LivePayload>(p).live_, &live);
+  EXPECT_DEATH(payload_as<LivePooled>(p), "expected type");
+  EXPECT_DEATH(payload_as<LivePayload>(PayloadRef{}), "expected type");
+}
+
+TEST(PacketPool, ReleaseDropsPayloadsAndAcquireResetsTheHeader) {
+  int live = 0;
+  PacketPool pool;
+  Packet* slot;
+  {
+    PacketRef ref = pool.acquire();
+    slot = &*ref;
+    ref->flow = {{make_ipv4(10, 0, 0, 1), 5}, {make_ipv4(10, 1, 0, 1), 80},
+                 IpProto::kTcp};
+    ref->seq = 1;
+    ref->ack = 2;
+    ref->wnd = 3;
+    ref->flags = tcpflag::kAck;
+    ref->payload_len = 4;
+    ref->ts_val = 5;
+    ref->ts_ecr = 6;
+    ref->pkt_id = 7;
+    ref->sent_at = 8;
+    ref->msgs.push_msg({4, make_payload<LivePayload>(&live)});
+    EXPECT_EQ(live, 1);
+  }
+  EXPECT_EQ(live, 0);  // dropped at release, not at reuse
+  PacketRef ref = pool.acquire();
+  ASSERT_EQ(&*ref, slot);
+  const Packet fresh;
+  EXPECT_EQ(ref->flow, fresh.flow);
+  EXPECT_EQ(ref->seq, fresh.seq);
+  EXPECT_EQ(ref->ack, fresh.ack);
+  EXPECT_EQ(ref->wnd, fresh.wnd);
+  EXPECT_EQ(ref->flags, fresh.flags);
+  EXPECT_EQ(ref->payload_len, fresh.payload_len);
+  EXPECT_EQ(ref->ts_val, fresh.ts_val);
+  EXPECT_EQ(ref->ts_ecr, fresh.ts_ecr);
+  EXPECT_EQ(ref->pkt_id, fresh.pkt_id);
+  EXPECT_EQ(ref->sent_at, fresh.sent_at);
+  EXPECT_TRUE(ref->msgs.empty());
 }
 
 TEST(PacketPool, ExhaustionGrowsByChunkAndRecyclesAfter) {

@@ -7,6 +7,7 @@
 // digest equalities prove determinism, TSan proves the absence of data races
 // while the workers genuinely interleave.
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -112,11 +113,11 @@ Packet make_kv_packet(std::uint64_t msg_id) {
   Packet p;
   p.seq = 42;
   p.payload_len = 100;
-  auto msg = std::make_shared<KvMessage>();
-  msg->id = msg_id;
-  msg->op = KvOp::kSet;
-  msg->value_len = 64;
-  p.msgs.push_msg(MessageRef{100, std::move(msg)});
+  KvMessage msg;
+  msg.id = msg_id;
+  msg.op = KvOp::kSet;
+  msg.value_len = 64;
+  p.msgs.push_msg(MessageRef{100, make_payload<KvMessage>(msg)});
   return p;
 }
 
@@ -164,10 +165,9 @@ TEST(ShardChannel, TakeDetachedDeepCopiesMessagePayloads) {
   Ipv4 to = 0;
   const Packet got = ch.take_detached(&at, &from, &to);
   ASSERT_EQ(static_cast<int>(got.msgs.size()), 1);
-  const auto* kv = dynamic_cast<const KvMessage*>(got.msgs.begin()->payload.get());
-  ASSERT_NE(kv, nullptr);
-  EXPECT_EQ(kv->id, 1234u);
-  EXPECT_EQ(kv->op, KvOp::kSet);
+  const KvMessage& kv = payload_as<KvMessage>(got.msgs.begin()->payload);
+  EXPECT_EQ(kv.id, 1234u);
+  EXPECT_EQ(kv.op, KvOp::kSet);
   // Fresh ownership: the detached copy must not alias the producer's payload.
   EXPECT_NE(got.msgs.begin()->payload.get(), original_payload);
   ch.announce(us(100));  // reclaims the consumed slot, producer-side
@@ -194,6 +194,60 @@ class CountingProgram : public ShardProgram {
   int count_ = 0;
   int publishes_ = 0;
 };
+
+// Notes the thread that runs it: a few rounds, all on one worker.
+class ThreadRecordingProgram : public ShardProgram {
+ public:
+  bool advance() override {
+    const std::thread::id self = std::this_thread::get_id();
+    if (rounds_ == 0) thread_ = self;
+    if (self != thread_) moved_ = true;
+    if (rounds_ >= 3) return false;
+    ++rounds_;
+    return true;
+  }
+  void publish() override {}
+  bool done() const override { return rounds_ >= 3; }
+  std::thread::id thread() const { return thread_; }
+  bool moved() const { return moved_; }
+
+ private:
+  int rounds_ = 0;
+  std::thread::id thread_;
+  bool moved_ = false;
+};
+
+TEST(RunShardPrograms, RingNeighboursShareAWorker) {
+  constexpr int kShards = 8;
+  for (const int workers : {1, 2, 4}) {
+    std::vector<ThreadRecordingProgram> progs(kShards);
+    std::vector<ShardProgram*> ptrs;
+    for (auto& p : progs) ptrs.push_back(&p);
+    run_shard_programs(ptrs, workers);
+
+    std::vector<std::thread::id> threads;
+    int neighbours_together = 0;
+    for (int i = 0; i < kShards; ++i) {
+      const ThreadRecordingProgram& p = progs[static_cast<std::size_t>(i)];
+      EXPECT_FALSE(p.moved()) << "program " << i << " changed threads";
+      if (std::find(threads.begin(), threads.end(), p.thread()) ==
+          threads.end()) {
+        threads.push_back(p.thread());
+      }
+      if (i + 1 < kShards &&
+          p.thread() == progs[static_cast<std::size_t>(i + 1)].thread()) {
+        ++neighbours_together;
+      }
+    }
+    // One contiguous block per worker: only the workers - 1 block edges
+    // split neighbours (dealt round-robin, no neighbours would share).
+    EXPECT_EQ(static_cast<int>(threads.size()), workers);
+    EXPECT_EQ(neighbours_together, kShards - workers) << "workers=" << workers;
+    if (workers == 1) {
+      EXPECT_EQ(threads[0], std::this_thread::get_id());  // no threads at all
+    }
+  }
+}
 
 TEST(RunShardPrograms, DrivesEveryProgramToCompletion) {
   for (const int workers : {1, 2, 3, 8}) {

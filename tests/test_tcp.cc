@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "net/trace.h"
@@ -89,8 +88,8 @@ TEST(Seq, UnwrapDetectsOldDuplicate) {
 TEST(SendBuffer, TracksOffsetsAndMessages) {
   SendBuffer sb;
   EXPECT_EQ(sb.end(), 1u);  // first app byte after SYN
-  sb.append_message(std::make_shared<TestPayload>(1), 100);
-  sb.append_message(std::make_shared<TestPayload>(2), 50);
+  sb.append_message(make_payload<TestPayload>(1), 100);
+  sb.append_message(make_payload<TestPayload>(2), 50);
   EXPECT_EQ(sb.end(), 151u);
   const auto msgs = sb.messages_in(1, 101);
   ASSERT_EQ(msgs.size(), 1u);
@@ -108,8 +107,8 @@ TEST(SendBuffer, TracksOffsetsAndMessages) {
 // these tests pin every boundary case so it cannot regress silently.
 TEST(SendBuffer, MessagesInExactBoundarySemantics) {
   SendBuffer sb;
-  sb.append_message(std::make_shared<TestPayload>(1), 100);  // ends at 101
-  sb.append_message(std::make_shared<TestPayload>(2), 50);   // ends at 151
+  sb.append_message(make_payload<TestPayload>(1), 100);  // ends at 101
+  sb.append_message(make_payload<TestPayload>(2), 50);   // ends at 151
   // A message ending exactly at range_end belongs to that segment...
   const auto first = sb.messages_in(1, 101);
   ASSERT_EQ(first.size(), 1u);
@@ -143,7 +142,7 @@ TEST(SendBuffer, MessagesInPartitionUnderArbitrarySegmentation) {
     const int messages = static_cast<int>(rng.uniform_u64(1, 12));
     for (int m = 0; m < messages; ++m) {
       const auto wire = static_cast<std::uint32_t>(rng.uniform_u64(1, 7));
-      sb.append_message(std::make_shared<TestPayload>(m), wire);
+      sb.append_message(make_payload<TestPayload>(m), wire);
       ends.push_back(sb.end());
     }
     // Random cut points over [1, end], half of them snapped onto a message
@@ -175,8 +174,8 @@ TEST(SendBuffer, MessagesInPartitionUnderArbitrarySegmentation) {
 
 TEST(SendBuffer, ReleaseAckedDropsCoveredMessages) {
   SendBuffer sb;
-  sb.append_message(std::make_shared<TestPayload>(1), 10);
-  sb.append_message(std::make_shared<TestPayload>(2), 10);
+  sb.append_message(make_payload<TestPayload>(1), 10);
+  sb.append_message(make_payload<TestPayload>(2), 10);
   sb.release_acked(11);
   EXPECT_EQ(sb.pending_messages(), 1u);
   sb.release_acked(21);
@@ -185,7 +184,7 @@ TEST(SendBuffer, ReleaseAckedDropsCoveredMessages) {
 
 TEST(RecvBuffer, InOrderDelivery) {
   RecvBuffer rb;
-  MsgList msgs{{51, std::make_shared<TestPayload>(7)}};
+  MsgList msgs{{51, make_payload<TestPayload>(7)}};
   const auto d = rb.on_segment(1, 51, msgs);
   EXPECT_EQ(d.bytes, 50u);
   ASSERT_EQ(d.messages.size(), 1u);
@@ -215,7 +214,7 @@ TEST(RecvBuffer, DuplicateDetected) {
 
 TEST(RecvBuffer, OverlappingRetransmissionDeliversOnce) {
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(9);
+  auto payload = make_payload<TestPayload>(9);
   MsgList msgs{{41, payload}};
   rb.on_segment(21, 41, msgs);                    // ooo
   const auto d = rb.on_segment(1, 41, msgs);      // covers both
@@ -225,7 +224,7 @@ TEST(RecvBuffer, OverlappingRetransmissionDeliversOnce) {
 
 TEST(RecvBuffer, MessageDeliveredOnlyWhenComplete) {
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(3);
+  auto payload = make_payload<TestPayload>(3);
   // Message ends at 101; first segment covers only [1, 51).
   auto d1 = rb.on_segment(1, 51, {{101, payload}});
   EXPECT_EQ(d1.messages.size(), 0u);
@@ -315,7 +314,7 @@ struct EchoServer {
   explicit EchoServer(TcpHost& host, std::uint16_t port) {
     host.stack().listen(port, [this](TcpConnection& c) {
       c.callbacks().on_message = [this](TcpConnection& conn,
-                                        std::shared_ptr<const AppPayload> p) {
+                                        const PayloadRef& p) {
         ++received;
         conn.send_message(p, 100);  // echo back, fixed size
       };
@@ -329,17 +328,18 @@ TEST(TcpData, MessageRoundTripPreservesIdentity) {
   TcpRig rig;
   EchoServer server{rig.b, kPort};
   auto* client = rig.a.stack().connect({kB, kPort});
-  std::shared_ptr<const AppPayload> got;
-  auto sent = std::make_shared<TestPayload>(42);
+  PayloadRef got;
+  auto sent = make_payload<TestPayload>(42);
   client->callbacks().on_established = [&](TcpConnection& c) {
     c.send_message(sent, 200);
   };
   client->callbacks().on_message =
-      [&](TcpConnection&, std::shared_ptr<const AppPayload> p) { got = p; };
+      [&](TcpConnection&, const PayloadRef& p) { got = p; };
   client->open();
   rig.sim.run_until(ms(10));
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(std::dynamic_pointer_cast<const TestPayload>(got)->tag, 42);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(payload_as<TestPayload>(got).tag, 42);
+  EXPECT_EQ(got.get(), sent.get());  // the same object, not a copy
   EXPECT_EQ(server.received, 1);
 }
 
@@ -349,7 +349,7 @@ TEST(TcpData, LargeMessageSegmentsAndReassembles) {
   std::uint64_t bytes = 0;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload>) {
+                                   const PayloadRef&) {
       ++delivered;
     };
     c.callbacks().on_data = [&](TcpConnection&, std::uint64_t n) {
@@ -358,7 +358,7 @@ TEST(TcpData, LargeMessageSegmentsAndReassembles) {
   });
   auto* client = rig.a.stack().connect({kB, kPort});
   client->callbacks().on_established = [&](TcpConnection& c) {
-    c.send_message(std::make_shared<TestPayload>(1), 10'000);  // ~7 segments
+    c.send_message(make_payload<TestPayload>(1), 10'000);  // ~7 segments
   };
   client->open();
   rig.sim.run_until(ms(50));
@@ -372,14 +372,14 @@ TEST(TcpData, PipelinedMessagesDeliverInOrder) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const PayloadRef& p) {
+      tags.push_back(payload_as<TestPayload>(p).tag);
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort});
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 20; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 500);
+      c.send_message(make_payload<TestPayload>(i), 500);
     }
   };
   client->open();
@@ -556,14 +556,14 @@ TEST(TcpLoss, MessagesSurviveRetransmission) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const PayloadRef& p) {
+      tags.push_back(payload_as<TestPayload>(p).tag);
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort}, cfg);
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 100; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 1448);
+      c.send_message(make_payload<TestPayload>(i), 1448);
     }
   };
   client->open();
@@ -639,10 +639,10 @@ TEST(TcpClose, ChurnReusesStack) {
     auto* c = rig.a.stack().connect({kB, kPort});
     ports.push_back(c->local().port);
     c->callbacks().on_established = [](TcpConnection& conn) {
-      conn.send_message(std::make_shared<TestPayload>(0), 100);
+      conn.send_message(make_payload<TestPayload>(0), 100);
     };
     c->callbacks().on_message = [](TcpConnection& conn,
-                                   std::shared_ptr<const AppPayload>) {
+                                   const PayloadRef&) {
       conn.close();
     };
     c->callbacks().on_closed = [&](TcpConnection&, bool) {
@@ -785,14 +785,14 @@ TEST_P(TcpLossSweep, ExactlyOnceInOrderDelivery) {
   std::vector<int> tags;
   rig.b.stack().listen(kPort, [&](TcpConnection& c) {
     c.callbacks().on_message = [&](TcpConnection&,
-                                   std::shared_ptr<const AppPayload> p) {
-      tags.push_back(std::dynamic_pointer_cast<const TestPayload>(p)->tag);
+                                   const PayloadRef& p) {
+      tags.push_back(payload_as<TestPayload>(p).tag);
     };
   });
   auto* client = rig.a.stack().connect({kB, kPort}, cfg);
   client->callbacks().on_established = [&](TcpConnection& c) {
     for (int i = 0; i < 60; ++i) {
-      c.send_message(std::make_shared<TestPayload>(i), 1448);
+      c.send_message(make_payload<TestPayload>(i), 1448);
     }
   };
   client->open();
@@ -849,7 +849,7 @@ TEST_P(ReassemblyPermutation, AllOrdersDeliverFullStream) {
   for (int i = 0; i < GetParam(); ++i) std::next_permutation(perm.begin(), perm.end());
 
   RecvBuffer rb;
-  auto payload = std::make_shared<TestPayload>(5);
+  auto payload = make_payload<TestPayload>(5);
   std::uint64_t delivered = 0;
   std::size_t messages = 0;
   for (int idx : perm) {
@@ -985,12 +985,12 @@ TEST(TcpAck, ResponsesPiggybackAcks) {
   auto* client = rig.a.stack().connect({kB, kPort});
   int remaining = 50;
   client->callbacks().on_established = [](TcpConnection& c) {
-    c.send_message(std::make_shared<TestPayload>(0), 100);
+    c.send_message(make_payload<TestPayload>(0), 100);
   };
   client->callbacks().on_message = [&](TcpConnection& c,
-                                       std::shared_ptr<const AppPayload>) {
+                                       const PayloadRef&) {
     if (--remaining > 0) {
-      c.send_message(std::make_shared<TestPayload>(remaining), 100);
+      c.send_message(make_payload<TestPayload>(remaining), 100);
     }
   };
   client->open();
