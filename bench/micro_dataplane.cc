@@ -226,17 +226,16 @@ BENCHMARK(BM_InbandPolicy_OnPacket_ClientFloor);
 // --- Event-queue benchmarks: slab pool vs the legacy map-of-std::function
 // queue, identical op sequences. ---------------------------------------------
 
-// This payload reproduces the pre-batch link delivery, which captured a
-// whole Packet by value (~136 bytes) — the worst case the legacy
-// map-of-std::function queue had to heap-allocate for, and the historical
-// workload the slab-vs-legacy comparison was built around. (Since the
-// PacketBatch redesign, live deliveries capture only a PacketSink pointer
-// plus a pooled PacketRef; perf_dataplane's eq_steady models that size.)
+// This payload has the size of a live link delivery: a PacketSink pointer
+// plus a pooled PacketRef, as perf_dataplane's eq_steady models it. The
+// legacy map-of-std::function queue heap-allocates it (its small buffer
+// holds 16 bytes); the slab pool stores it inline.
 struct DeliveryPayload {
-  unsigned char packet_bytes[136];
+  unsigned char handle_bytes[24];  // sink* + PacketRef{state*, pkt*}
   std::uint64_t* fired;
   void operator()() const { ++*fired; }
 };
+static_assert(EventCallback::fits_inline<DeliveryPayload>());
 
 // Fires one event through whichever interface the queue offers: the fused
 // in-place fire_next (slab pool) or pop+invoke (legacy).

@@ -10,6 +10,8 @@ KvClient::KvClient(TcpHost& host, KvClientConfig config)
       config_{config},
       rng_{splitmix64(config.seed ^ 0xc11e47ULL)} {
   INBAND_ASSERT(config_.connections > 0);
+  // RequestRecord::conn_index is 16 bits wide.
+  INBAND_ASSERT(config_.connections <= 65535, "connections must fit 16 bits");
   INBAND_ASSERT(config_.pipeline > 0);
   INBAND_ASSERT(config_.keyspace > 0);
   INBAND_ASSERT(config_.get_ratio >= 0.0 && config_.get_ratio <= 1.0);
@@ -100,8 +102,8 @@ void KvClient::on_response(int slot_index, const KvMessage& resp) {
     rec.latency = now - resp.created_at;
     rec.op = resp.op;
     rec.hit = resp.hit;
-    rec.conn_index = slot_index;
-    rec.flow = slot.conn->key();
+    rec.conn_index = static_cast<std::uint16_t>(slot_index);
+    rec.flow = RecordedFlow{slot.conn->key()};
     recorder_(rec);
   }
 
@@ -117,12 +119,14 @@ void KvClient::on_response(int slot_index, const KvMessage& resp) {
 
   if (config_.think_time > 0) {
     if (slot.think_timer == kInvalidEventId) {
+      auto think_done = [this, slot_index] {
+        slots_[static_cast<std::size_t>(slot_index)].think_timer =
+            kInvalidEventId;
+        fill_pipeline(slot_index);
+      };
+      static_assert(EventCallback::fits_inline<decltype(think_done)>());
       slot.think_timer =
-          host_.sim().schedule_after(config_.think_time, [this, slot_index] {
-            slots_[static_cast<std::size_t>(slot_index)].think_timer =
-                kInvalidEventId;
-            fill_pipeline(slot_index);
-          });
+          host_.sim().schedule_after(config_.think_time, std::move(think_done));
     }
   } else {
     // Immediate refill: the next request is causally triggered by this
@@ -137,12 +141,14 @@ void KvClient::on_conn_closed(int slot_index, bool reset) {
   if (reset) ++connection_failures_;
   if (!running_) return;
   // Reconnect from a fresh event rather than inside the close callback.
-  host_.sim().schedule_after(0, [this, slot_index] {
+  auto reconnect = [this, slot_index] {
     if (running_ &&
         slots_[static_cast<std::size_t>(slot_index)].conn == nullptr) {
       open_connection(slot_index);
     }
-  });
+  };
+  static_assert(EventCallback::fits_inline<decltype(reconnect)>());
+  host_.sim().schedule_after(0, std::move(reconnect));
 }
 
 }  // namespace inband

@@ -20,6 +20,7 @@
 
 #include "app/message.h"
 #include "tcp/stack.h"
+#include "util/assert.h"
 #include "util/hotpath.h"
 #include "util/rng.h"
 #include "util/shard.h"
@@ -38,15 +39,43 @@ struct KvClientConfig {
   std::uint64_t seed = 7;
 };
 
-// One completed request, as observed at the client.
+// A client flow as a record stores it: the 4-tuple without `proto`, which is
+// always TCP because KvClient speaks nothing else. It converts back to the
+// full FlowKey, so hash_flow(rec.flow) equals hash_flow(conn.key()).
+struct RecordedFlow {
+  Ipv4 src_addr = 0;
+  Ipv4 dst_addr = 0;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+
+  RecordedFlow() = default;
+  explicit RecordedFlow(const FlowKey& f)
+      : src_addr{f.src.addr},
+        dst_addr{f.dst.addr},
+        src_port{f.src.port},
+        dst_port{f.dst.port} {
+    INBAND_ASSERT(f.proto == IpProto::kTcp, "a record's proto is implicit");
+  }
+
+  // Implicit, so code written against FlowKey (hash_flow, comparisons)
+  // reads a record's flow unchanged.
+  operator FlowKey() const {
+    return FlowKey{{src_addr, src_port}, {dst_addr, dst_port}, IpProto::kTcp};
+  }
+};
+
+// One completed request, as observed at the client. One is kept per request
+// for the whole run (about a million in a fig-3 run), so the layout is packed
+// to 32 bytes (DESIGN.md §5).
 struct RequestRecord {
   SimTime sent_at;
-  SimTime latency;  // response received - request created
+  SimTime latency;             // response received - request created
+  RecordedFlow flow;           // the flow the request travelled on
+  std::uint16_t conn_index;    // stable client-side connection slot
   KvOp op;
   bool hit;
-  int conn_index;     // stable client-side connection slot
-  FlowKey flow;       // the flow the request travelled on
 };
+static_assert(sizeof(RequestRecord) == 32, "one packed per-request record");
 
 INBAND_SHARD_LOCAL(shard)
 class KvClient {

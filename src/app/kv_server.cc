@@ -102,10 +102,10 @@ void KvServer::start_processing(Pending work) {
   }
   const SimTime svc = service_time(payload_as<KvMessage>(work.request));
   account_busy(now, +1);
-  host_.sim().schedule_at(start_at + svc,
-                          [this, w = std::move(work)]() mutable {
-                            finish(std::move(w));
-                          });
+  auto done = [this, w = std::move(work)]() mutable { finish(std::move(w)); };
+  // One completion per request: it must stay in the event slot's buffer.
+  static_assert(EventCallback::fits_inline<decltype(done)>());
+  host_.sim().schedule_at(start_at + svc, std::move(done));
 }
 
 void KvServer::finish(Pending work) {

@@ -14,6 +14,9 @@ Link::Link(Simulator& sim, LinkParams params)
   INBAND_ASSERT(params_.prop_delay >= 0);
   INBAND_ASSERT(params_.jitter_median >= 0);
   INBAND_ASSERT(params_.jitter_sigma >= 0.0);
+  if (params_.queue_bytes != 0) {
+    queue_limit_ = serialization_delay(params_.queue_bytes);
+  }
 }
 
 SimTime Link::serialization_delay(std::uint64_t bytes) const {
@@ -44,12 +47,9 @@ void Link::set_extra_delay(SimTime d) {
 
 bool Link::transmit(PacketRef pkt, PacketSink& dst) {
   const SimTime now = sim_.now();
-  if (params_.queue_bytes != 0) {
-    const SimTime queue_limit = serialization_delay(params_.queue_bytes);
-    if (backlog(now) > queue_limit) {
-      ++drops_;
-      return false;  // ref dies here: slot recycles
-    }
+  if (backlog(now) > queue_limit_) {
+    ++drops_;
+    return false;  // ref dies here: slot recycles
   }
   const std::uint64_t wire_bytes = pkt->wire_size();
   const SimTime start = std::max(now, busy_until_);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -76,6 +77,9 @@ class Link {
   Simulator& sim_;
   LinkParams params_;
   Rng jitter_rng_;
+  // Backlog (ns) beyond which transmit() drops: serialization_delay of
+  // queue_bytes, fixed at construction; no limit when queue_bytes == 0.
+  SimTime queue_limit_ = std::numeric_limits<SimTime>::max();
   SimTime extra_delay_ = 0;
   SimTime busy_until_ = 0;
   SimTime last_delivery_ = 0;

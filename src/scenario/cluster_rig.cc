@@ -253,15 +253,9 @@ std::size_t ClusterRig::run_full_audit() {
   return auditor_.run_all(sim_.now());
 }
 
-std::uint64_t ClusterRig::state_digest() {
-  StateDigest d;
-  sim_.digest_state(d);
-  if (fault_) fault_->digest_state(d);
-  for (auto& lb : lbs_) lb->digest_state(d);
-  for (auto& h : server_hosts_) h->stack().digest_state(d);
-  for (auto& h : client_hosts_) h->stack().digest_state(d);
-  d.mix(records_.size());
-  for (const auto& r : records_) {
+void digest_records(StateDigest& d, const std::vector<RequestRecord>& recs) {
+  d.mix(recs.size());
+  for (const auto& r : recs) {
     d.mix_i64(r.sent_at);
     d.mix_i64(r.latency);
     d.mix_u32(static_cast<std::uint32_t>(r.op));
@@ -269,6 +263,16 @@ std::uint64_t ClusterRig::state_digest() {
     d.mix_u32(static_cast<std::uint32_t>(r.conn_index));
     d.mix(hash_flow(r.flow));
   }
+}
+
+std::uint64_t ClusterRig::state_digest() {
+  StateDigest d;
+  sim_.digest_state(d);
+  if (fault_) fault_->digest_state(d);
+  for (auto& lb : lbs_) lb->digest_state(d);
+  for (auto& h : server_hosts_) h->stack().digest_state(d);
+  for (auto& h : client_hosts_) h->stack().digest_state(d);
+  digest_records(d, records_);
   d.mix(share_history_.size());
   for (const auto& snap : share_history_) {
     d.mix_i64(snap.t);

@@ -38,6 +38,13 @@ enum class LbMode {
 
 const char* lb_mode_name(LbMode mode);
 
+class StateDigest;
+
+// Folds a record stream into `d`: its length, then each record's fields in
+// order. ClusterRig::state_digest and ShardedRig's remote-client records
+// both digest through it.
+void digest_records(StateDigest& d, const std::vector<RequestRecord>& recs);
+
 // The rig's address plan, shared with the sharded rig (which must route to
 // another shard's VIPs and attach its own remote-client hosts). `base` is
 // ClusterRigConfig::addr_base; valid for base in [0, 62], i in [0, 254].

@@ -185,18 +185,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void digest_records(StateDigest& d, const std::vector<RequestRecord>& recs) {
-  d.mix(recs.size());
-  for (const auto& r : recs) {
-    d.mix_i64(r.sent_at);
-    d.mix_i64(r.latency);
-    d.mix_u32(static_cast<std::uint32_t>(r.op));
-    d.mix_bool(r.hit);
-    d.mix_u32(static_cast<std::uint32_t>(r.conn_index));
-    d.mix(hash_flow(r.flow));
-  }
-}
-
 }  // namespace
 
 ShardedRig::ShardedRig(ShardedRigConfig config) : config_{std::move(config)} {

@@ -66,17 +66,20 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
 // Move-only type-erased nullary callable with a small-buffer optimization
-// sized for the queue's dominant payload (a link-delivery lambda carrying a
-// Packet by value). Unlike std::function it never allocates for captures up
-// to kInlineBytes and never copies the target.
+// sized for the queue's per-packet and per-request payloads. Unlike
+// std::function it never allocates for captures up to kInlineBytes and never
+// copies the target.
 INBAND_SHARD_LOCAL(owner)
 class EventCallback {
  public:
-  // Inline capture budget. Chosen so the largest hot-path lambda (Packet by
-  // value plus three pointers — Network::transmit_held's release) fits;
-  // measured in tests/test_sim.cc. Packet carries a MsgList with two inline
-  // MessageRefs, which is what sets its 136-byte size.
-  static constexpr std::size_t kInlineBytes = 160;
+  // Inline capture budget: the largest hot-path capture. That is
+  // KvServer::start_processing's completion ([this, Pending]: a connection
+  // pointer, a FlowKey and a PayloadRef, 48 bytes); Network::transmit_held's
+  // Release (three pointers and a PacketRef) is 40 and Link's delivery 24.
+  // Each of these sites, and every per-connection timer, static_asserts
+  // fits_inline. Setup-time and fault-injection events may exceed the budget
+  // and take the heap path.
+  static constexpr std::size_t kInlineBytes = 48;
 
   EventCallback() = default;
   ~EventCallback() { reset(); }
@@ -266,6 +269,9 @@ class EventQueue {
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNullSlot;
   };
+  // The inline buffer, its vtable pointer and the free-list words: slab
+  // memory scales with the pool's high-water, so keep a slot this small.
+  static_assert(sizeof(Slot) <= 80, "one slot: callback + gen + free link");
 
   // Sort key for the pending order: ((t << 64) | seq) ascending is exactly
   // the (time, then push order) total order — seq is unique, so there are no
@@ -307,7 +313,7 @@ class EventQueue {
   // workloads produce (occupancy spikes past 16 were observed as mid-run
   // capacity doublings under the zero-alloc gate), because a bucket's first
   // growth past the reserve can happen arbitrarily late. 128 buckets at
-  // 64 entries of 16 bytes is 128 KiB per queue — noise next to the slab.
+  // 64 entries of 32 bytes is 256 KiB per queue.
   static constexpr std::size_t kBucketReserve = 64;
   static constexpr std::size_t kFarReserve = 64;
 

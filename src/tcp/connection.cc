@@ -346,12 +346,7 @@ void TcpConnection::try_send() {
 
   const SimTime now = sim().now();
   if (config_.pacing && now < next_pace_) {
-    if (pace_timer_ == kInvalidEventId) {
-      pace_timer_ = sim().schedule_at(next_pace_, [this] {
-        pace_timer_ = kInvalidEventId;
-        try_send();
-      });
-    }
+    if (pace_timer_ == kInvalidEventId) arm_pace_timer();
     return;
   }
 
@@ -379,10 +374,7 @@ void TcpConnection::try_send() {
       next_pace_ = std::max(now, next_pace_) + std::max<SimTime>(pace_ns, 1);
       if (snd_nxt_ < std::min(snd_una_ + effective_window(), send_buf_.end()) &&
           pace_timer_ == kInvalidEventId) {
-        pace_timer_ = sim().schedule_at(next_pace_, [this] {
-          pace_timer_ = kInvalidEventId;
-          try_send();
-        });
+        arm_pace_timer();
       }
       break;  // at most one segment per pacing slot
     }
@@ -432,16 +424,27 @@ void TcpConnection::send_ack_now() {
   emit(make_packet(tcpflag::kAck, snd_nxt_, 0));
 }
 
+void TcpConnection::arm_pace_timer() {
+  auto fire = [this] {
+    pace_timer_ = kInvalidEventId;
+    try_send();
+  };
+  static_assert(EventCallback::fits_inline<decltype(fire)>());
+  pace_timer_ = sim().schedule_at(next_pace_, std::move(fire));
+}
+
 void TcpConnection::schedule_ack(bool immediate) {
   if (immediate) {
     send_ack_now();
     return;
   }
   if (delack_timer_ != kInvalidEventId) return;
-  delack_timer_ = sim().schedule_after(config_.delack_timeout, [this] {
+  auto fire = [this] {
     delack_timer_ = kInvalidEventId;
     send_ack_now();
-  });
+  };
+  static_assert(EventCallback::fits_inline<decltype(fire)>());
+  delack_timer_ = sim().schedule_after(config_.delack_timeout, std::move(fire));
 }
 
 void TcpConnection::cancel_delack() {
@@ -453,10 +456,12 @@ void TcpConnection::cancel_delack() {
 
 void TcpConnection::arm_retx() {
   INBAND_DCHECK(retx_timer_ == kInvalidEventId);
-  retx_timer_ = sim().schedule_after(rto_, [this] {
+  auto fire = [this] {
     retx_timer_ = kInvalidEventId;
     on_retx_timeout();
-  });
+  };
+  static_assert(EventCallback::fits_inline<decltype(fire)>());
+  retx_timer_ = sim().schedule_after(rto_, std::move(fire));
 }
 
 void TcpConnection::disarm_retx() {
@@ -524,10 +529,12 @@ void TcpConnection::enter_time_wait() {
   disarm_retx();
   cancel_delack();
   if (time_wait_timer_ == kInvalidEventId) {
-    time_wait_timer_ = sim().schedule_after(kTimeWait, [this] {
+    auto fire = [this] {
       time_wait_timer_ = kInvalidEventId;
       teardown(false);
-    });
+    };
+    static_assert(EventCallback::fits_inline<decltype(fire)>());
+    time_wait_timer_ = sim().schedule_after(kTimeWait, std::move(fire));
   }
 }
 

@@ -137,6 +137,7 @@ class TcpConnection {
   std::uint32_t advertised_window() const;
 
   INBAND_HOT void try_send();
+  void arm_pace_timer();  // fires try_send() at next_pace_
   void send_data_segment(std::uint64_t offset, std::uint32_t len,
                          bool retransmission);
   bool maybe_send_fin();

@@ -119,12 +119,14 @@ void TcpStack::output_batch(Ipv4 to, PacketBatch& batch) {
 
 void TcpStack::reap(const FlowKey& key) {
   // Deferred: the connection may be deep in its own call stack right now.
-  sim().schedule_after(0, [this, key] {
+  auto erase_if_closed = [this, key] {
     const auto it = conns_.find(key);
     if (it != conns_.end() && it->second->state() == TcpState::kClosed) {
       erase_connection(key);
     }
-  });
+  };
+  static_assert(EventCallback::fits_inline<decltype(erase_if_closed)>());
+  sim().schedule_after(0, std::move(erase_if_closed));
 }
 
 void TcpStack::audit_invariants(AuditScope& scope) const {

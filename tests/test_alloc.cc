@@ -33,12 +33,13 @@ namespace {
   }
 
 // Stand-in for the dominant event payload: a link-delivery closure carrying
-// a Packet by value.
+// a PacketSink pointer and a pooled PacketRef.
 struct FakeDelivery {
-  Packet packet;
+  unsigned char handle_bytes[24];  // sink* + PacketRef{state*, pkt*}
   std::uint64_t* fired;
   void operator()() { ++*fired; }
 };
+static_assert(EventCallback::fits_inline<FakeDelivery>());
 
 TEST(AllocFree, EventQueueSteadyStatePushPop) {
   SKIP_UNLESS_COUNTING();
@@ -46,9 +47,7 @@ TEST(AllocFree, EventQueueSteadyStatePushPop) {
   std::uint64_t fired = 0;
   SimTime t = 0;
   const auto push_one = [&](SimTime at) {
-    Packet pkt;
-    pkt.payload_len = 100;
-    q.push(at, FakeDelivery{std::move(pkt), &fired});
+    q.push(at, FakeDelivery{{}, &fired});
   };
   for (int i = 0; i < 128; ++i) push_one(t + i);
   // Warm-up: lets the pool, every wheel bucket, and the far heap reach
@@ -78,12 +77,10 @@ TEST(AllocFree, EventQueueCancelRecycle) {
   const auto cycle = [&] {
     // Schedule a "timeout", cancel it (the common TCP pattern: the ACK
     // arrives first), and fire one real event.
-    Packet pkt;
-    const EventId timeout = q.push(t + 1000, FakeDelivery{std::move(pkt), &fired});
+    const EventId timeout = q.push(t + 1000, FakeDelivery{{}, &fired});
     if (pending != kInvalidEventId) q.cancel(pending);
     pending = timeout;
-    Packet pkt2;
-    q.push(t + 10, FakeDelivery{std::move(pkt2), &fired});
+    q.push(t + 10, FakeDelivery{{}, &fired});
     t = q.fire_next([](SimTime) {});
   };
   // Warm-up covers two full level-1 ring cycles (time advances ~10 ticks

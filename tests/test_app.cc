@@ -4,7 +4,9 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <tuple>
 
 #include "app/bulk_flow.h"
@@ -378,6 +380,65 @@ TEST(KvClient, StopClosesConnections) {
   rig.sim->run_until(ms(30));
   EXPECT_EQ(rig.client_host->stack().connection_count(), 0u);
   EXPECT_EQ(rig.server->open_connections(), 0u);
+}
+
+TEST(RequestRecord, FlowConvertsBackToTheConnectionKey) {
+  KvClientConfig cc;
+  cc.connections = 3;
+  cc.pipeline = 2;
+  cc.requests_per_conn = 10;  // churn: many flows per slot
+  KvRig rig{{}, cc};
+  std::uint64_t checked = 0;
+  rig.client->set_recorder([&](const RequestRecord& r) {
+    // The recorder runs inside the response callback: the connection is live.
+    const TcpConnection* conn = rig.client_host->stack().find(r.flow);
+    ASSERT_NE(conn, nullptr);
+    const auto flow = static_cast<FlowKey>(r.flow);
+    EXPECT_EQ(flow, conn->key());
+    EXPECT_EQ(flow.proto, IpProto::kTcp);
+    EXPECT_EQ(hash_flow(r.flow), hash_flow(conn->key()));
+    ++checked;
+  });
+  rig.client->start();
+  rig.sim->run_until(ms(50));
+  rig.client->stop();
+  EXPECT_GT(checked, 100u);
+  EXPECT_GT(rig.client->connections_opened(), 10u);
+}
+
+TEST(RequestRecord, ConnIndexRoundTrips) {
+  KvClientConfig cc;
+  cc.connections = 5;
+  cc.requests_per_conn = 10;
+  KvRig rig{{}, cc};
+  // Each flow lives in one client slot, and every slot shows up.
+  std::map<FlowKey, std::uint16_t> slot_of;
+  std::set<std::uint16_t> seen;
+  rig.client->set_recorder([&](const RequestRecord& r) {
+    const auto it =
+        slot_of.emplace(static_cast<FlowKey>(r.flow), r.conn_index).first;
+    EXPECT_EQ(it->second, r.conn_index);
+    seen.insert(r.conn_index);
+  });
+  rig.client->start();
+  rig.sim->run_until(ms(50));
+  rig.client->stop();
+  EXPECT_EQ(seen, (std::set<std::uint16_t>{0, 1, 2, 3, 4}));
+  EXPECT_GT(slot_of.size(), 5u);
+
+  RequestRecord rec{};
+  rec.conn_index = 65535;  // the widest slot index a client may have
+  EXPECT_EQ(rec.conn_index, 65535);
+}
+
+TEST(RequestRecordDeathTest, ClientRejectsMoreSlotsThanTheRecordHolds) {
+  KvClientConfig cc;
+  cc.connections = 65536;
+  // Fires in the constructor, before the slot vector is sized.
+  EXPECT_DEATH(KvRig({}, cc), "connections must fit 16 bits");
+  cc.connections = 65535;
+  KvRig widest{{}, cc};  // constructing opens nothing
+  EXPECT_EQ(widest.client->connections_opened(), 0u);
 }
 
 TEST(KvServer, BusyUtilizationTracked) {

@@ -197,6 +197,28 @@ TEST(Link, QueueOverflowDrops) {
   EXPECT_EQ(sink.packets.size(), static_cast<std::size_t>(accepted));
 }
 
+TEST(Link, QueueDropsOnlyWhenBacklogExceedsTheLimit) {
+  Simulator sim;
+  // 2000 bytes at 1 Gb/s: a 16us limit. A backlog equal to it still admits.
+  Link link{sim, {1'000'000'000, 0, 2000}};
+  ASSERT_EQ(link.serialization_delay(link.params().queue_bytes), us(16));
+  PacketPool pool;
+  CollectingSink sink;
+  Packet p;
+  p.payload_len = 948;  // 8us serialization each
+  EXPECT_TRUE(link.transmit(pooled(pool, p), sink));   // backlog 0
+  EXPECT_TRUE(link.transmit(pooled(pool, p), sink));   // backlog 8us
+  EXPECT_TRUE(link.transmit(pooled(pool, p), sink));   // backlog 16us
+  EXPECT_FALSE(link.transmit(pooled(pool, p), sink));  // backlog 24us
+  sim.run_until(us(8) - 1);
+  EXPECT_FALSE(link.transmit(pooled(pool, p), sink));  // backlog 16us + 1
+  sim.run_until(us(8));
+  EXPECT_TRUE(link.transmit(pooled(pool, p), sink));   // backlog 16us
+  EXPECT_EQ(link.drops(), 2u);
+  sim.run();
+  EXPECT_EQ(sink.packets.size(), 4u);
+}
+
 TEST(Link, StatsCount) {
   Simulator sim;
   Link link{sim, {1'000'000'000, 0, 0}};
