@@ -292,7 +292,10 @@ void BM_EventQueue_SteadyState_Legacy(benchmark::State& state) {
 BENCHMARK(BM_EventQueue_SteadyState_Legacy)->Arg(128)->Arg(4096);
 
 // Cancel-heavy: per iteration, push 4 timers, cancel 2 (one fresh, one mid-
-// heap from an earlier round), pop 2 — TCP retransmit/delack timer churn.
+// heap from an earlier round), pop 2. What still cancels in the simulator:
+// delayed-ACK timers in the §5 ablation, TIME_WAIT entry and teardown, and
+// the first retransmit re-arm after a handshake, when rto_ falls from its
+// 50 ms initial value below the pending check.
 template <typename Q>
 void eq_cancel_heavy(benchmark::State& state) {
   Q q;

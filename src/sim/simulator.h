@@ -73,6 +73,8 @@ class Simulator {
 
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t executed_events() const { return executed_; }
+  // Events ever scheduled, cancelled ones included.
+  std::uint64_t scheduled_events() const { return queue_.total_pushed(); }
 
   // Invariant audit: clock sanity plus the event queue's own invariants
   // (no live event scheduled in the simulator's past).

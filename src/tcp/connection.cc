@@ -387,7 +387,7 @@ void TcpConnection::try_send() {
     if (!burst.empty()) stack_.output_batch(key_.dst.addr, burst);
   }
 
-  if (snd_nxt_ > snd_una_ && retx_timer_ == kInvalidEventId) arm_retx();
+  if (snd_nxt_ > snd_una_ && retx_deadline_ == kNoTime) arm_retx();
 }
 
 void TcpConnection::send_data_segment(std::uint64_t offset, std::uint32_t len,
@@ -455,20 +455,41 @@ void TcpConnection::cancel_delack() {
 }
 
 void TcpConnection::arm_retx() {
-  INBAND_DCHECK(retx_timer_ == kInvalidEventId);
-  auto fire = [this] {
-    retx_timer_ = kInvalidEventId;
-    on_retx_timeout();
-  };
-  static_assert(EventCallback::fits_inline<decltype(fire)>());
-  retx_timer_ = sim().schedule_after(rto_, std::move(fire));
+  INBAND_DCHECK(retx_deadline_ == kNoTime);
+  retx_deadline_ = sim().now() + rto_;
+  if (retx_timer_ != kInvalidEventId) {
+    if (retx_check_at_ <= retx_deadline_) return;  // re-checks on firing
+    sim().cancel(retx_timer_);  // rto_ fell below the pending check
+  }
+  schedule_retx_check();
 }
 
-void TcpConnection::disarm_retx() {
+void TcpConnection::cancel_retx_check() {
+  disarm_retx();
   if (retx_timer_ != kInvalidEventId) {
     sim().cancel(retx_timer_);
     retx_timer_ = kInvalidEventId;
   }
+}
+
+void TcpConnection::schedule_retx_check() {
+  auto fire = [this] {
+    retx_timer_ = kInvalidEventId;
+    on_retx_check();
+  };
+  static_assert(EventCallback::fits_inline<decltype(fire)>());
+  retx_check_at_ = retx_deadline_;
+  retx_timer_ = sim().schedule_at(retx_deadline_, std::move(fire));
+}
+
+void TcpConnection::on_retx_check() {
+  if (retx_deadline_ == kNoTime) return;  // disarmed since it was scheduled
+  if (retx_deadline_ > sim().now()) {     // acks moved the deadline later
+    schedule_retx_check();
+    return;
+  }
+  retx_deadline_ = kNoTime;
+  on_retx_timeout();
 }
 
 void TcpConnection::on_retx_timeout() {
@@ -526,7 +547,7 @@ void TcpConnection::update_rtt(SimTime sample) {
 
 void TcpConnection::enter_time_wait() {
   state_ = TcpState::kTimeWait;
-  disarm_retx();
+  cancel_retx_check();
   cancel_delack();
   if (time_wait_timer_ == kInvalidEventId) {
     auto fire = [this] {
@@ -541,7 +562,7 @@ void TcpConnection::enter_time_wait() {
 void TcpConnection::teardown(bool reset_seen) {
   if (state_ == TcpState::kClosed) return;
   state_ = TcpState::kClosed;
-  disarm_retx();
+  cancel_retx_check();
   cancel_delack();
   if (time_wait_timer_ != kInvalidEventId) {
     sim().cancel(time_wait_timer_);
@@ -574,6 +595,11 @@ void TcpConnection::audit_invariants(AuditScope& scope) const {
   scope.check(srtt_ >= 0 && rttvar_ >= 0, "rtt-estimator-nonnegative", who);
   scope.check(rto_ > 0, "rto-positive", who);
   scope.check(retx_attempts_ >= 0, "retx-attempts-nonnegative", who);
+  if (retx_deadline_ != kNoTime) {
+    scope.check(retx_timer_ != kInvalidEventId &&
+                    retx_check_at_ <= retx_deadline_,
+                "retx-check-pending-by-deadline", who);
+  }
   scope.check(ts_recent_ == kNoTime || ts_recent_ <= scope.now(),
               "timestamp-echo-in-past", who);
 }

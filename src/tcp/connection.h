@@ -111,6 +111,7 @@ class TcpConnection {
   std::uint64_t rcv_nxt() const { return recv_buf_.rcv_nxt(); }
   std::uint64_t effective_window() const;
   SimTime srtt() const { return srtt_; }
+  SimTime rto() const { return rto_; }
   std::uint64_t retransmits() const { return retransmits_; }
   std::uint64_t segments_sent() const { return segments_sent_; }
   std::uint64_t segments_received() const { return segments_received_; }
@@ -149,8 +150,15 @@ class TcpConnection {
   void handle_data(const Packet& pkt);
   void process_fin_if_reached();
 
+  // The retransmit timer is a deadline, re-checked when its event fires
+  // (DESIGN §10.4). Arming moves the deadline and pushes an event only when
+  // none is pending at or before it; disarming clears the deadline.
   void arm_retx();
-  void disarm_retx();
+  void disarm_retx() { retx_deadline_ = kNoTime; }
+  // Disarms and drops the pending check, whose callback captures `this`.
+  void cancel_retx_check();
+  void schedule_retx_check();  // at retx_deadline_
+  void on_retx_check();
   void on_retx_timeout();
   void update_rtt(SimTime sample);
 
@@ -187,8 +195,11 @@ class TcpConnection {
   // then appends instead of outputting one segment at a time.
   PacketBatch* open_batch_ = nullptr;
 
-  // Timers.
+  // Timers. While retx_deadline_ is set, a retx check event is pending at
+  // retx_check_at_ <= retx_deadline_; a disarmed timer may leave one pending.
+  SimTime retx_deadline_ = kNoTime;
   EventId retx_timer_ = kInvalidEventId;
+  SimTime retx_check_at_ = kNoTime;
   SimTime rto_;
   SimTime srtt_ = 0;
   SimTime rttvar_ = 0;

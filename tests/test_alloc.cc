@@ -75,8 +75,10 @@ TEST(AllocFree, EventQueueCancelRecycle) {
   SimTime t = 0;
   EventId pending = kInvalidEventId;
   const auto cycle = [&] {
-    // Schedule a "timeout", cancel it (the common TCP pattern: the ACK
-    // arrives first), and fire one real event.
+    // Schedule a "timeout", cancel it, and fire one real event. TCP still
+    // cancels timers this way for delayed ACKs (§5 ablation), at TIME_WAIT
+    // entry and teardown, and on the first retransmit re-arm after the
+    // handshake, when rto_ falls below the 50 ms initial value.
     const EventId timeout = q.push(t + 1000, FakeDelivery{{}, &fired});
     if (pending != kInvalidEventId) q.cancel(pending);
     pending = timeout;

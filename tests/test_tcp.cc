@@ -1003,13 +1003,17 @@ TEST(TcpAck, ResponsesPiggybackAcks) {
 
 // --- fixed stack parameters ---
 
-// Drops every packet A sends: the peer is unreachable.
-struct BlackholeFromA final : SendInterceptor {
-  SendVerdict on_send(const Packet&, Ipv4 from, Ipv4) override {
+// Drops what `drop` selects among the packets one host sends.
+struct DropFrom final : SendInterceptor {
+  DropFrom(Ipv4 host, std::function<bool(const Packet&)> pred)
+      : from{host}, drop{std::move(pred)} {}
+  SendVerdict on_send(const Packet& pkt, Ipv4 src, Ipv4) override {
     SendVerdict v;
-    v.drop = from == kA;
+    v.drop = src == from && drop(pkt);
     return v;
   }
+  Ipv4 from;
+  std::function<bool(const Packet&)> drop;
 };
 
 // SYN send times of a client whose every packet is dropped, and when (and
@@ -1023,7 +1027,7 @@ struct UnansweredSyn {
 
 UnansweredSyn run_unanswered_syn() {
   TcpRig rig;
-  BlackholeFromA hole;
+  DropFrom hole{kA, [](const Packet&) { return true; }};  // peer unreachable
   rig.net.set_interceptor(&hole);
   UnansweredSyn out;
   CallbackObserver obs{[&](const Packet& pkt, Ipv4 from, Ipv4) {
@@ -1136,6 +1140,188 @@ TEST(TcpStack, IsnsAreDrawnFromTheStackSeed) {
   EXPECT_NE(isns[0], isns[2]);
   EXPECT_EQ(first_isns(1), isns);  // reproducible per seed
   EXPECT_NE(first_isns(99), isns);
+}
+
+// --- retransmit deadline ---
+
+TEST(TcpRetx, FiresExactlyRtoAfterTheLastAdvancingAck) {
+  TcpConfig cfg;
+  cfg.cwnd_bytes = 8 * cfg.mss;
+  TcpRig rig{cfg};
+  // From 3 ms on, every packet B sends is lost: A's ACK clock stops.
+  bool acks_lost = false;
+  DropFrom hole{kB, [&](const Packet&) { return acks_lost; }};
+  rig.net.set_interceptor(&hole);
+  rig.sim.schedule_at(ms(3), [&] { acks_lost = true; });
+  rig.b.stack().listen(kPort, [](TcpConnection&) {});
+  auto* client = rig.a.stack().connect({kB, kPort}, cfg);
+  SimTime last_ack = kNoTime;
+  SimTime rto_at_last_ack = kNoTime;
+  int advancing_acks = 0;
+  client->callbacks().on_rtt_sample = [&](TcpConnection& c, SimTime) {
+    ++advancing_acks;
+    last_ack = rig.sim.now();
+    rto_at_last_ack = c.rto();
+  };
+  client->callbacks().on_established = [](TcpConnection& c) {
+    c.send_bytes(1ULL << 30);
+  };
+  SimTime first_retx = kNoTime;
+  CallbackObserver obs{[&](const Packet&, Ipv4 from, Ipv4) {
+    if (from == kA && first_retx == kNoTime && client->retransmits() > 0) {
+      first_retx = rig.sim.now();
+    }
+  }};
+  rig.net.set_observer(&obs);
+  client->open();
+  rig.sim.run_until(ms(20));
+  rig.net.set_observer(nullptr);
+  rig.net.set_interceptor(nullptr);
+  // Hundreds of ACKs each moved the deadline; the pending check fired at
+  // stale deadlines in between, yet the retransmission waits for the last.
+  EXPECT_GT(advancing_acks, 100);
+  ASSERT_NE(first_retx, kNoTime);
+  EXPECT_EQ(rto_at_last_ack, ms(5));
+  EXPECT_EQ(first_retx, last_ack + rto_at_last_ack);
+  // The instant the cancel-and-re-push timer fired at in this scenario.
+  EXPECT_EQ(first_retx, 8'048'064);
+}
+
+// Retransmission times of a client whose data segments are all lost; the
+// handshake gets through, so its RTT sample lowers rto_ from the 50 ms
+// initial value while the SYN's check event is still pending at 50 ms.
+struct LostData {
+  SimTime established_at = kNoTime;
+  SimTime rto_at_send = kNoTime;
+  std::vector<SimTime> retx;
+  std::vector<SimTime> rto_after;  // rto() seen at each retransmission
+};
+
+LostData run_lost_data() {
+  TcpRig rig;
+  DropFrom hole{kA, [](const Packet& pkt) { return pkt.payload_len > 0; }};
+  rig.net.set_interceptor(&hole);
+  rig.b.stack().listen(kPort, [](TcpConnection&) {});
+  auto* client = rig.a.stack().connect({kB, kPort});
+  LostData out;
+  client->callbacks().on_established = [&](TcpConnection& c) {
+    out.established_at = rig.sim.now();
+    out.rto_at_send = c.rto();
+    c.send_bytes(1000);
+  };
+  std::uint64_t seen = 0;
+  CallbackObserver obs{[&](const Packet&, Ipv4 from, Ipv4) {
+    if (from == kA && client->retransmits() > seen) {
+      seen = client->retransmits();
+      out.retx.push_back(rig.sim.now());
+      out.rto_after.push_back(client->rto());
+    }
+  }};
+  rig.net.set_observer(&obs);
+  client->open();
+  rig.sim.run_until(ms(200));
+  rig.net.set_observer(nullptr);
+  rig.net.set_interceptor(nullptr);
+  return out;
+}
+
+TEST(TcpRetx, LowerRtoMovesThePendingCheckEarlier) {
+  const LostData r = run_lost_data();
+  ASSERT_NE(r.established_at, kNoTime);
+  EXPECT_EQ(r.rto_at_send, ms(5));
+  ASSERT_FALSE(r.retx.empty());
+  // Not at the stale 50 ms check the SYN left behind.
+  EXPECT_EQ(r.retx[0], r.established_at + ms(5));
+}
+
+TEST(TcpRetx, TimeoutStillDoublesRto) {
+  const LostData r = run_lost_data();
+  ASSERT_GE(r.retx.size(), 4u);
+  SimTime rto = r.rto_at_send;
+  SimTime due = r.established_at + rto;
+  for (std::size_t i = 0; i < 4; ++i) {
+    rto *= 2;
+    EXPECT_EQ(r.retx[i], due) << "retry " << i;
+    EXPECT_EQ(r.rto_after[i], rto) << "retry " << i;
+    due += rto;
+  }
+}
+
+// Runs the sim until both hosts have reaped every connection.
+void run_until_reaped(TcpRig& rig) {
+  while ((rig.a.stack().connection_count() > 0 ||
+          rig.b.stack().connection_count() > 0) &&
+         rig.sim.step()) {
+  }
+}
+
+TEST(TcpRetx, TimeWaitLeavesNoCheckEventBehind) {
+  TcpRig rig;
+  rig.b.stack().listen(kPort, [](TcpConnection& c) {
+    c.callbacks().on_peer_close = [](TcpConnection& conn) { conn.close(); };
+  });
+  auto* client = rig.a.stack().connect({kB, kPort});
+  client->callbacks().on_established = [](TcpConnection& c) {
+    c.send_bytes(10'000);
+    c.close();
+  };
+  client->open();
+  run_until_reaped(rig);
+  // Both sides' last ACKed segments left checks due 5 ms after they were
+  // sent; TIME_WAIT entry (client) and teardown (server) dropped them.
+  EXPECT_LT(rig.sim.now(), ms(5));
+  EXPECT_EQ(rig.sim.pending_events(), 0u);
+  rig.sim.run_until(sec(1));  // nothing left to fire on a reaped connection
+}
+
+TEST(TcpRetx, TeardownLeavesNoCheckEventBehind) {
+  TcpRig rig;
+  rig.b.stack().listen(kPort, [](TcpConnection&) {});
+  auto* client = rig.a.stack().connect({kB, kPort});
+  client->callbacks().on_established = [](TcpConnection& c) {
+    c.send_bytes(10'000);
+  };
+  client->open();
+  rig.sim.run_until(ms(1));
+  ASSERT_EQ(client->bytes_in_flight(), 0u);  // deadline clear, check pending
+  client->abort();
+  run_until_reaped(rig);
+  EXPECT_LT(rig.sim.now(), ms(5));
+  EXPECT_EQ(rig.sim.pending_events(), 0u);
+  rig.sim.run_until(sec(1));
+}
+
+// Events a TcpRig run scheduled beyond one delivery per packet sent: with
+// delayed ACKs, pacing and link jitter off, those are the TCP timers.
+std::uint64_t timer_events(TcpRig& rig) {
+  return rig.sim.scheduled_events() - rig.net.stats().packets_sent;
+}
+
+TEST(TcpRetx, CheckEventsGrowWithTimeNotSegments) {
+  for (const std::uint64_t segments : {2'000u, 20'000u}) {
+    TcpConfig cfg;
+    cfg.cwnd_bytes = 16 * cfg.mss;
+    TcpRig rig{cfg};
+    rig.b.stack().listen(kPort, [](TcpConnection&) {});
+    auto* client = rig.a.stack().connect({kB, kPort}, cfg);
+    const std::uint64_t bytes = segments * cfg.mss;
+    client->callbacks().on_established = [&](TcpConnection& c) {
+      c.send_bytes(bytes);
+    };
+    client->open();
+    while (client->snd_una() < bytes + 1 && rig.sim.step()) {
+    }
+    ASSERT_EQ(client->snd_una(), bytes + 1) << segments;
+    EXPECT_EQ(client->retransmits(), 0u);
+    EXPECT_GE(rig.net.stats().packets_sent, 2 * segments);
+    // A pending check re-schedules itself at most once per RTO (>= 5 ms)
+    // while ACKs keep moving the deadline, instead of one cancel and push
+    // per ACK; the constant covers the handshake's checks and the chain's
+    // ends.
+    EXPECT_LE(timer_events(rig),
+              static_cast<std::uint64_t>(rig.sim.now() / ms(5)) + 4)
+        << segments << " segments in " << rig.sim.now() << " ns";
+  }
 }
 
 }  // namespace
