@@ -4,9 +4,9 @@
 //  1. event-queue steady state: a pop→invoke→reschedule loop at a fixed
 //     pending-set size, the simulator's innermost cycle (events/sec,
 //     ns/event);
-//  2. event-queue cancel-heavy: pushes, mid-heap cancels, and pops
+//  2. event-queue cancel-heavy: pushes, cancels of pending timers, and pops
 //     interleaved — the pattern of delayed-ACK timers and TIME_WAIT/teardown
-//     cancels, and the workload that grows tombstones;
+//     cancels;
 //  3. a scaled Fig. 3 cluster rig: wall-clock packets/sec + events/sec and
 //     heap allocations per packet (global operator new counting via
 //     src/util/alloc_counter, linked into this binary only), plus a same-seed
@@ -135,8 +135,8 @@ EqResult eq_steady(std::uint64_t iterations, std::size_t pending) {
 }
 
 // Cancel-heavy: per round, push 4 timers, cancel 2 of them (one fresh, one
-// from an earlier round — a mid-heap tombstone), pop 2. Ops = pushes +
-// cancels + pops.
+// from an earlier round, still pending), pop 2. Ops = pushes + cancels +
+// pops.
 EqResult eq_cancel_heavy(std::uint64_t rounds) {
   EventQueue q;
   MiniRng rng{0x9E3779B97F4A7C15ULL};

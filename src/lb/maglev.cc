@@ -41,9 +41,8 @@ void MaglevTable::build(const BackendPool& pool) {
   struct Candidate {
     BackendId id;
     std::uint32_t weight;
-    std::uint64_t offset;
     std::uint64_t skip;
-    std::uint64_t next = 0;  // position in its permutation
+    std::uint64_t pos;   // next slot of its permutation (offset + k * skip)
     double credit = 0.0;     // fractional turn accumulator
   };
 
@@ -56,7 +55,7 @@ void MaglevTable::build(const BackendPool& pool) {
     Candidate c;
     c.id = b.id;
     c.weight = b.weight;
-    c.offset = hash_name(b.name, seed_) % table_size_;
+    c.pos = hash_name(b.name, seed_) % table_size_;
     c.skip = hash_name(b.name, splitmix64(seed_)) % (table_size_ - 1) + 1;
     // hotlint:allow(hot-growth): table rebuild runs at control-plane rate
     cands.push_back(c);
@@ -79,11 +78,15 @@ void MaglevTable::build(const BackendPool& pool) {
       c.credit += static_cast<double>(c.weight) / max_weight;
       while (c.credit >= 1.0) {
         c.credit -= 1.0;
-        // Walk this backend's permutation to its next empty slot.
+        // Walk this backend's permutation to its next empty slot. skip <
+        // table_size_, so one conditional subtraction keeps pos reduced: the
+        // same sequence as (offset + k * skip) % table_size_, without a
+        // 64-bit division per probe.
         std::uint64_t slot;
         do {
-          slot = (c.offset + c.next * c.skip) % table_size_;
-          ++c.next;
+          slot = c.pos;
+          c.pos += c.skip;
+          if (c.pos >= table_size_) c.pos -= table_size_;
         } while (table_[slot] != kNoBackend);
         table_[slot] = c.id;
         ++owned_[c.id];

@@ -9,25 +9,6 @@
 
 namespace inband {
 
-namespace {
-
-// First set bit at index >= from, or 64 when none.
-inline unsigned next_bit(std::uint64_t bits, std::uint32_t from) {
-  if (from >= 64) return 64;
-  const std::uint64_t rest = bits >> from << from;
-  return rest == 0 ? 64u : static_cast<unsigned>(std::countr_zero(rest));
-}
-
-}  // namespace
-
-EventQueue::EventQueue() {
-  for (auto& level : rings_) {
-    for (auto& bucket : level) bucket.reserve(kBucketReserve);
-  }
-  far_keys_.reserve(kFarReserve);
-  far_payload_.reserve(kFarReserve);
-}
-
 std::uint32_t EventQueue::alloc_slot_slow() {
   INBAND_COLD_OK("slab growth: one chunk per kSlotsPerChunk slots; steady "
                  "state recycles freed slots and never lands here");
@@ -45,193 +26,70 @@ bool EventQueue::cancel(EventId id) {
   if (index >= slot_count_) return false;
   Slot& s = slot_ref(index);
   if (s.gen != gen_of(id) || !s.callback) return false;
+  unlink(list_for(s.t), s);
   s.callback.reset();
-  retire_handle(s);  // the wheel entry is now a tombstone, skipped at pop
+  retire_handle(s);
   recycle_slot(index, s);
   INBAND_ASSERT(live_ > 0);
   --live_;
-  // A cancelled event resident in the far heap stays behind as a tombstone
-  // that advance_cursor() only reclaims when its 2^18-tick window rotates in,
-  // so cancel-heavy far-timer workloads would otherwise retain heap entries
-  // unboundedly. Every far tombstone originates from a cancel (entries enter
-  // the heap live and are re-filed only while live), so once the cancels
-  // since the last sweep could account for half the heap, rebuild it without
-  // the dead entries — amortized O(log n) per cancel, and it bounds the heap
-  // at 2x its live occupancy plus the reserve (asserted in test_sim.cc).
-  if (++far_cancels_ >= kFarReserve && 2 * far_cancels_ >= far_keys_.size()) {
-    compact_far();
-  }
   return true;
 }
 
-void EventQueue::compact_far() {
-  far_cancels_ = 0;
-  std::size_t out = 0;
-  for (std::size_t i = 0; i < far_keys_.size(); ++i) {
-    const std::uint64_t p = far_payload_[i];
-    if (slot_ref(static_cast<std::uint32_t>(p >> 32)).gen !=
-        static_cast<std::uint32_t>(p)) {
-      continue;  // tombstone
+// Slow path of front(): the active list is drained. The earliest pending
+// events sit in the first occupied bucket ahead of the cursor on the lowest
+// level that has one, or, with every level empty, in the overflow list. The
+// cursor jumps straight to the earliest time in that list and the list is
+// re-filed under it: its earliest entries become the active list, the rest
+// drop to lower levels. Any cursor at or before the earliest pending event
+// leaves every other event's list unchanged (they differ from it in the
+// same digit as before), so the jump needs no other bookkeeping.
+std::uint32_t EventQueue::advance_cursor() {
+  const std::uint64_t w = static_cast<std::uint64_t>(wtime_);
+  std::uint32_t from = kOverflow;
+  for (std::uint32_t level = 0; level < kLevels; ++level) {
+    const std::uint32_t next =
+        static_cast<std::uint32_t>((w >> (level * kLevelBits)) & kWheelMask) + 1;
+    const std::uint64_t ahead =
+        next < kWheelSlots ? occ_[level] >> next << next : 0;
+    if (ahead != 0) {
+      from = 1 + level * kWheelSlots +
+             static_cast<std::uint32_t>(std::countr_zero(ahead));
+      break;
     }
-    far_keys_[out] = far_keys_[i];
-    far_payload_[out] = p;
-    ++out;
+    INBAND_DCHECK(occ_[level] == 0, "stale occupancy behind the cursor");
   }
-  // hotlint:allow(hot-growth): shrinks to the live prefix; capacity retained across compactions
-  far_keys_.resize(out);
-  // hotlint:allow(hot-growth): shrinks to the live prefix; capacity retained across compactions
-  far_payload_.resize(out);
-  if (out < 2) return;
-  // Floyd heapify, in place and allocation-free (this runs inside the
-  // steady-state cancel path, which tests/test_alloc.cc holds to exactly
-  // zero heap allocations): sift every internal node down, co-moving the
-  // payloads. Keys are unique ((time, seq) with a never-reused seq) and
-  // far_pop() always takes the minimum, so the pop sequence depends only
-  // on the key *set* — any valid heap layout pops bit-identically.
-  for (std::size_t node = ((out - 2) >> 2) + 1; node-- > 0;) {
-    const Key k = far_keys_[node];
-    const std::uint64_t p = far_payload_[node];
-    std::size_t i = node;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= out) break;
-      std::size_t best = first;
-      const std::size_t last = first + 4 < out ? first + 4 : out;
-      for (std::size_t c = first + 1; c < last; ++c) {
-        if (far_keys_[c] < far_keys_[best]) best = c;
-      }
-      if (k < far_keys_[best]) break;
-      far_keys_[i] = far_keys_[best];
-      far_payload_[i] = far_payload_[best];
-      i = best;
-    }
-    far_keys_[i] = k;
-    far_payload_[i] = p;
+  const std::uint32_t head = lists_[from].head;
+  if (head == kNullSlot) return kNullSlot;  // the queue is empty
+  SimTime first = slot_ref(head).t;
+  for (std::uint32_t i = slot_ref(head).next; i != kNullSlot;
+       i = slot_ref(i).next) {
+    first = std::min(first, slot_ref(i).t);
   }
+  wtime_ = first;
+  refile(from);
+  return lists_[kActive].head;
 }
 
-// Slow path of front_entry(): the active bucket is drained, so move the
-// cursor forward — next occupied level-0 bucket in this epoch, else cascade
-// the next occupied bucket of a higher level down, else re-anchor at the far
-// heap. Each step only ever jumps to a bucket that holds the globally
-// earliest pending entries, so pops stay in (time, seq) order.
-EventQueue::WheelEntry* EventQueue::advance_cursor() {
-  for (;;) {
-    {
-      std::vector<WheelEntry>& v = active_bucket();
-      while (pos_ < v.size()) {
-        WheelEntry& e = v[pos_];
-        if (slot_ref(e.slot).gen == e.gen) return &e;
-        ++pos_;  // tombstone
-      }
-      v.clear();  // keeps capacity: steady state stays allocation-free
-      pos_ = 0;
-    }
-    const std::uint64_t w = static_cast<std::uint64_t>(wtime_);
-
-    // Level 0: jump to the next occupied bucket of the current 2^12 epoch
-    // and sort it (the only per-event ordering work the wheel ever does).
-    const std::uint32_t s0 =
-        static_cast<std::uint32_t>((w >> kL0Shift) & kWheelMask);
-    if (const unsigned b = next_bit(occ_[0], s0 + 1); b < kWheelSlots) {
-      occ_[0] &= ~(1ull << b);
-      wtime_ = static_cast<SimTime>((w & ~((1ull << kL1Shift) - 1)) |
-                                    (static_cast<std::uint64_t>(b) << kL0Shift));
-      std::vector<WheelEntry>& bucket = active_bucket();
-      std::sort(bucket.begin(), bucket.end(),
-                [](const WheelEntry& a, const WheelEntry& c) {
-                  return a.key < c.key;
-                });
-      continue;
-    }
-    INBAND_DCHECK(occ_[0] == 0, "stale level-0 occupancy behind the cursor");
-
-    // Level 1: cascade the next occupied bucket of the current 2^18 epoch
-    // down into level 0.
-    const std::uint32_t s1 =
-        static_cast<std::uint32_t>((w >> kL1Shift) & kWheelMask);
-    if (const unsigned b = next_bit(occ_[1], s1 + 1); b < kWheelSlots) {
-      occ_[1] &= ~(1ull << b);
-      wtime_ = static_cast<SimTime>((w & ~((1ull << kFarShift) - 1)) |
-                                    (static_cast<std::uint64_t>(b) << kL1Shift));
-      cascade(rings_[1][b]);
-      continue;
-    }
-    INBAND_DCHECK(occ_[1] == 0, "stale level-1 occupancy behind the cursor");
-
-    // Far horizon: re-anchor the wheel at the earliest far event and pull
-    // everything inside the new 2^18-tick window down into the rings.
-    if (far_keys_.empty()) return nullptr;  // queue truly empty
-    const std::uint64_t anchor =
-        static_cast<std::uint64_t>(key_time(far_keys_.front())) & ~kWheelMask;
-    INBAND_DCHECK(static_cast<SimTime>(anchor) >= wtime_,
-                  "wheel cursor would move backwards");
-    wtime_ = static_cast<SimTime>(anchor);
-    const std::uint64_t horizon = anchor | ((1ull << kFarShift) - 1);
-    while (!far_keys_.empty() &&
-           static_cast<std::uint64_t>(key_time(far_keys_.front())) <= horizon) {
-      const WheelEntry e = far_pop();
-      if (slot_ref(e.slot).gen != e.gen) continue;  // cancelled while far
-      place(e);
-    }
+// Detaches one list and files its entries under the (just moved) cursor.
+// They land in the active list or on lower levels, all empty beforehand, so
+// appending in list order keeps each list in push order. The entries that
+// land in the active list are those at the cursor's time, so it is in
+// (time, push order) without sorting.
+void EventQueue::refile(std::uint32_t list) {
+  std::uint32_t i = lists_[list].head;
+  lists_[list] = List{};
+  if (is_bucket(list)) occ_word(list) &= ~occ_bit(list);
+  while (i != kNullSlot) {
+    Slot& s = slot_ref(i);
+    const std::uint32_t next = s.next;
+    append(list_for(s.t), i, s);
+    i = next;
   }
-}
-
-// Re-files one exhausted higher-level bucket's entries a level down (or into
-// the active bucket / far heap via place()); tombstones are dropped here
-// instead of being copied along.
-void EventQueue::cascade(std::vector<WheelEntry>& bucket) {
-  for (const WheelEntry& e : bucket) {
-    if (slot_ref(e.slot).gen != e.gen) continue;
-    place(e);
-  }
-  bucket.clear();
-}
-
-EventQueue::WheelEntry EventQueue::far_pop() {
-  const std::uint64_t top = far_payload_.front();
-  const WheelEntry out{far_keys_.front(), static_cast<std::uint32_t>(top >> 32),
-                       static_cast<std::uint32_t>(top)};
-  const Key lk = far_keys_.back();
-  const std::uint64_t lp = far_payload_.back();
-  far_keys_.pop_back();
-  far_payload_.pop_back();
-  const std::size_t n = far_keys_.size();
-  if (n != 0) {
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      std::size_t best;
-      if (first + 3 < n) {
-        // Branchless min-of-4 tournament over the adjacent children.
-        const std::size_t a =
-            first + static_cast<std::size_t>(far_keys_[first + 1] <
-                                             far_keys_[first]);
-        const std::size_t c =
-            first + 2 + static_cast<std::size_t>(far_keys_[first + 3] <
-                                                 far_keys_[first + 2]);
-        best = far_keys_[c] < far_keys_[a] ? c : a;
-      } else {
-        if (first >= n) break;
-        best = first;
-        for (std::size_t c = first + 1; c < n; ++c) {
-          if (far_keys_[c] < far_keys_[best]) best = c;
-        }
-      }
-      if (lk < far_keys_[best]) break;
-      far_keys_[i] = far_keys_[best];
-      far_payload_[i] = far_payload_[best];
-      i = best;
-    }
-    far_keys_[i] = lk;
-    far_payload_[i] = lp;
-  }
-  return out;
 }
 
 SimTime EventQueue::next_time() {
-  WheelEntry* head = front_entry();
-  return head == nullptr ? kNoTime : key_time(head->key);
+  const std::uint32_t head = front();
+  return head == kNullSlot ? kNoTime : slot_ref(head).t;
 }
 
 void EventQueue::audit_invariants(AuditScope& scope) {
@@ -241,7 +99,7 @@ void EventQueue::audit_invariants(AuditScope& scope) {
     if (slot_ref(i).callback) ++occupied;
   }
   for (std::uint32_t i = free_head_; i != kNullSlot;
-       i = slot_ref(i).next_free) {
+       i = slot_ref(i).next) {
     ++free_count;
   }
   // An audit can run from inside a firing callback (the rig's periodic
@@ -255,27 +113,39 @@ void EventQueue::audit_invariants(AuditScope& scope) {
               "pool-slots-accounted",
               "live + free + retired slots != pool size");
 
-  // Every live event has a pending wheel/heap entry (tombstones may add
-  // more), and the occupancy bitmaps agree with the bucket vectors.
-  std::size_t pending = far_keys_.size();
+  // Every live event sits in exactly one pending list — the one the wheel
+  // geometry assigns its time — with consistent links; the active list is
+  // in time order and the occupancy bitmaps agree with the buckets. Walks stop
+  // after slot_count_ steps so a corrupted cycle cannot hang the audit.
+  std::size_t pending = 0;
+  bool lists_ok = true;
   bool occ_ok = true;
-  const std::vector<WheelEntry>* active = &active_bucket();
-  for (int level = 0; level < kWheelLevels; ++level) {
-    for (std::uint32_t b = 0; b < kWheelSlots; ++b) {
-      const std::vector<WheelEntry>& v = rings_[level][b];
-      pending += v.size();
-      const bool bit = (occ_[level] >> b) & 1u;
-      if (&v == active) {
-        if (bit) occ_ok = false;  // the active bucket is tracked by pos_
-      } else if (bit != !v.empty()) {
-        occ_ok = false;
-      }
+  for (std::uint32_t list = 0; list <= kOverflow; ++list) {
+    const List& l = lists_[list];
+    std::uint32_t prev = kNullSlot;
+    std::uint32_t steps = 0;
+    for (std::uint32_t i = l.head; i != kNullSlot && steps <= slot_count_;
+         i = slot_ref(i).next, ++steps) {
+      const Slot& s = slot_ref(i);
+      lists_ok = lists_ok && s.prev == prev && s.callback && i != firing_slot_ &&
+                 list_for(s.t) == list &&
+                 (list != kActive || prev == kNullSlot ||
+                  slot_ref(prev).t <= s.t);
+      prev = i;
+    }
+    lists_ok = lists_ok && steps <= slot_count_ && l.tail == prev;
+    pending += steps;
+    if (is_bucket(list) &&
+        ((occ_[(list - 1) / kWheelSlots] & occ_bit(list)) != 0) !=
+            (l.head != kNullSlot)) {
+      occ_ok = false;
     }
   }
-  INBAND_ASSERT(pos_ <= active->size());
-  pending -= pos_;  // consumed prefix of the active bucket
-  scope.check(pending >= live_, "wheel-covers-live",
-              "fewer pending wheel entries than live events");
+  scope.check(pending == live_, "wheel-covers-live",
+              "pending wheel entries != live events");
+  scope.check(lists_ok, "wheel-lists-consistent",
+              "a pending list has broken links, a dead or misfiled entry, "
+              "or an unsorted active list");
   scope.check(occ_ok, "wheel-occupancy-bitmap",
               "occupancy bitmap disagrees with bucket contents");
   scope.check(next_seq_ >= 1 + live_, "id-counter-sane");

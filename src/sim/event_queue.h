@@ -1,14 +1,14 @@
 // Cancellable discrete-event queue, allocation-free in steady state.
 //
 // Events at equal timestamps pop in insertion (FIFO) order — a property the
-// TCP and LB models rely on for determinism. Cancellation is O(1): the
-// callback slot is released and the pending entry becomes a tombstone skipped
-// at pop time.
+// TCP and LB models rely on for determinism. Cancellation is O(1): the event
+// is unlinked from its pending list and its slot recycled at once.
 //
-// Storage design (see DESIGN.md §10): two structures replace the former
-// std::function + unordered_map<EventId, handler> + binary-heap trio, which
-// paid one heap allocation plus a hash insert/erase per scheduled event and
-// an O(log n) serial pointer chase per pop.
+// Storage design (see DESIGN.md §10): the callbacks and the pending set share
+// one slab of event slots. It replaced the std::function +
+// unordered_map<EventId, handler> + binary-heap trio, which paid one heap
+// allocation plus a hash insert/erase per scheduled event and an O(log n)
+// serial pointer chase per pop.
 //
 // 1. A slab-allocated event pool for the callbacks:
 //  * Each event occupies a fixed-size pool slot whose EventCallback member
@@ -18,30 +18,38 @@
 //  * Slots are recycled through an intrusive free list, so a pop→push steady
 //    state touches no allocator at all. The pool grows in fixed-size chunks
 //    and slots never move, so callbacks are constructed and invoked in place.
-//  * Liveness is a 32-bit generation counter per slot: an EventId encodes
-//    (slot, generation), freeing a slot bumps its generation, and a pending
-//    entry whose recorded generation no longer matches its slot is dead —
-//    one array load where the old design did a hash lookup. A slot whose
-//    generation counter would wrap is retired instead of reused, so stale
-//    handles can never alias a newer event (the ABA guard; exercised by the
-//    wraparound test via EventQueueTestPeer).
+//  * An EventId encodes (slot, 32-bit generation); retiring an event bumps
+//    its slot's generation, so a stale handle is one array load away from
+//    being rejected. A slot whose generation counter would wrap is retired
+//    instead of reused, so stale handles can never alias a newer event (the
+//    ABA guard; exercised by the wraparound test via EventQueueTestPeer).
 //
-// 2. A hierarchical timing wheel for the pending set (the classic
-//    discrete-event answer to the binary heap's O(log n) pops):
-//  * Two rings of 64 buckets cover the near future at widths of 2^6 and
-//    2^12 ticks; events beyond the 2^18-tick horizon wait in a 4-ary
-//    branchless min-heap keyed by a packed (time, seq) 128-bit key.
-//  * push() appends to the right ring slot in O(1) (the level is picked by
-//    XOR-ing the event time with the wheel cursor, as in kernel timer
-//    wheels). A ring slot is sorted by (time, seq) once, when the cursor
-//    reaches it, so ordering costs O(b log b) per slot instead of O(log n)
-//    per event; pops then consume the sorted slot in place.
-//  * The pop order is the strict total order on (time, seq) — seq is the
-//    unique monotonic push counter — so FIFO-among-ties holds and the pop
-//    sequence (and therefore every digest) is bit-identical to what the
-//    single-heap implementations produced.
+// 2. A hashed hierarchical timing wheel (Varghese & Lauck) for the pending
+//    set, threaded through the same slots:
+//  * Six levels of 64 buckets, 6 bits of the event time each, over one-tick
+//    level-0 buckets: a 2^36-tick (≈ 68 s) horizon. Events beyond it wait in
+//    one overflow list until the wheel re-anchors there.
+//  * Every bucket is an intrusive doubly-linked list through the slots' own
+//    link words (a live event has exactly one pending entry), so buckets own
+//    no memory: no per-bucket vectors, no reserve, no first-touch growth.
+//    cancel() unlinks the slot in O(1), so nothing dead stays behind to be
+//    skipped or compacted later.
+//  * push() files an event in O(1) by the highest base-64 digit in which its
+//    time differs from the wheel cursor (the XOR trick from kernel timer
+//    wheels). When the active list runs dry, the cursor jumps to the
+//    earliest time in the next occupied bucket and re-files that bucket
+//    under it: the entries at that time become the active list, the rest
+//    drop to lower levels. Pops take the active list's head.
+//  * Every list is kept in push order (appends only; a bucket is re-filed
+//    into lists that are all empty at that moment), and the active list
+//    holds one time plus events pushed at or before it in order, so it is
+//    in the strict (time, push order) total order without any sorting.
+//    That makes FIFO-among-ties hold and keeps the pop sequence — and
+//    therefore every digest — bit-identical to what the heap- and
+//    sort-based queues before it produced.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -183,7 +191,7 @@ class EventCallback {
 INBAND_SHARD_LOCAL(owner)
 class EventQueue {
  public:
-  EventQueue();
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -197,8 +205,14 @@ class EventQueue {
     Slot& s = slot_ref(slot);
     // hotlint:allow(hot-growth): emplace targets the slot's inline buffer
     s.callback.emplace(std::forward<F>(fn));
-    const std::uint64_t seq = next_seq_++;
-    place(WheelEntry{make_key(t, seq), slot, s.gen});
+    s.t = t;
+    ++next_seq_;
+    const std::uint32_t list = list_for(t);
+    if (list == kActive) {
+      insert_active(slot, s);
+    } else {
+      append(list, slot, s);
+    }
     ++live_;
     return make_id(slot, s.gen);
   }
@@ -219,13 +233,12 @@ class EventQueue {
   // time. The queue must not be empty.
   template <typename Pre>
   INBAND_HOT SimTime fire_next(Pre&& pre) {
-    WheelEntry* head = front_entry();
-    INBAND_ASSERT(head != nullptr, "fire_next() on empty event queue");
-    const SimTime t = key_time(head->key);
-    const std::uint32_t slot = head->slot;
+    const std::uint32_t slot = front();
+    INBAND_ASSERT(slot != kNullSlot, "fire_next() on empty event queue");
     Slot& s = slot_ref(slot);
-    INBAND_DCHECK(s.gen == head->gen && s.callback);
-    ++pos_;  // consume before the callback runs: it may push into this bucket
+    INBAND_DCHECK(s.callback);
+    unlink(kActive, s);  // before the callback runs: it may push behind us
+    const SimTime t = s.t;
     --live_;
     INBAND_DCHECK(last_popped_ == kNoTime || t >= last_popped_,
                   "event queue popped backwards in time");
@@ -233,7 +246,7 @@ class EventQueue {
     retire_handle(s);  // the firing event's own id goes dead
     firing_slot_ = slot;  // occupied but no longer live, for the auditor
     pre(t);
-    s.callback();  // may push/cancel freely; `head` may dangle from here on
+    s.callback();  // may push/cancel freely
     s.callback.reset();
     firing_slot_ = kNullSlot;
     recycle_slot(slot, s);
@@ -245,9 +258,10 @@ class EventQueue {
   // Timestamp of the most recently popped event; kNoTime before any pop.
   SimTime last_popped() const { return last_popped_; }
 
-  // Invariant audit: pool/live bookkeeping agrees and the next live event
+  // Invariant audit: pool/live bookkeeping agrees, every live event sits in
+  // exactly the list the wheel geometry assigns it, and the next live event
   // is not earlier than the last popped one (time monotonicity). Non-const
-  // because inspecting the head may compact tombstones.
+  // because finding the next event may advance the wheel cursor.
   void audit_invariants(AuditScope& scope);
 
   // Folds scheduling state into a determinism digest (handlers themselves
@@ -265,152 +279,104 @@ class EventQueue {
   static constexpr std::uint32_t kMaxGen = 0xffffffffu;
 
   struct Slot {
-    EventCallback callback;
+    // [[no_unique_address]] lets the fields below live in the callback's
+    // tail padding (its buffer is max_align_t-aligned): 80 bytes, not 96.
+    [[no_unique_address]] EventCallback callback;
+    SimTime t = 0;  // event time while pending
     std::uint32_t gen = 0;
-    std::uint32_t next_free = kNullSlot;
+    // Pending-list links. `next` is also the free-list link of a free slot.
+    std::uint32_t next = kNullSlot;
+    std::uint32_t prev = kNullSlot;
   };
-  // The inline buffer, its vtable pointer and the free-list words: slab
-  // memory scales with the pool's high-water, so keep a slot this small.
-  static_assert(sizeof(Slot) <= 80, "one slot: callback + gen + free link");
+  // Slab memory scales with the pool's high-water, so keep a slot this small.
+  static_assert(sizeof(Slot) <= 80, "one slot: callback + time + gen + links");
 
-  // Sort key for the pending order: ((t << 64) | seq) ascending is exactly
-  // the (time, then push order) total order — seq is unique, so there are no
-  // ties and the pop sequence is independent of how entries are stored.
-  // Requires t >= 0, asserted in push().
-  __extension__ typedef unsigned __int128 Key;
-
-  struct WheelEntry {
-    Key key;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-
-  static Key make_key(SimTime t, std::uint64_t seq) {
-    return (static_cast<Key>(static_cast<std::uint64_t>(t)) << 64) | seq;
-  }
-  static SimTime key_time(Key k) {
-    return static_cast<SimTime>(static_cast<std::uint64_t>(k >> 64));
-  }
-
-  // --- Timing-wheel geometry. Each level's 64 buckets span the next 6 bits
-  // of the event time; anything beyond the 2^18-tick horizon waits in the
-  // far heap. Two levels (not the kernel's four+) because the far heap is a
-  // single structure whose capacity high-water is reached almost
-  // immediately, whereas every ring bucket is first touched only when the
-  // cursor first enters its time range — more rings would push first-touch
-  // growth arbitrarily late into a run.
-  static constexpr std::uint32_t kWheelBits = 6;
-  static constexpr std::uint32_t kWheelSlots = 1u << kWheelBits;  // 64
+  // --- Timing-wheel geometry: six levels of 64 buckets, each resolving the
+  // next 6 bits of the event time; level-0 buckets are one tick wide.
+  static constexpr std::uint32_t kLevelBits = 6;
+  static constexpr std::uint32_t kWheelSlots = 1u << kLevelBits;  // 64
   static constexpr std::uint64_t kWheelMask = kWheelSlots - 1;
-  static constexpr int kWheelLevels = 2;
-  static constexpr std::uint32_t kL0Shift = 6;
-  static constexpr std::uint32_t kL1Shift = 12;
-  static constexpr std::uint32_t kFarShift = 18;
-  // Buckets are first reached only when the cursor enters their time range,
-  // so without an up-front reserve the first-touch growth of each vector
-  // would surface as rare allocations arbitrarily late in a run. Reserved in
-  // the constructor; sized above the worst per-bucket coincidence the rig
-  // workloads produce (occupancy spikes past 16 were observed as mid-run
-  // capacity doublings under the zero-alloc gate), because a bucket's first
-  // growth past the reserve can happen arbitrarily late. 128 buckets at
-  // 64 entries of 32 bytes is 256 KiB per queue.
-  static constexpr std::size_t kBucketReserve = 64;
-  static constexpr std::size_t kFarReserve = 64;
+  static constexpr std::uint32_t kLevels = 6;
+  static constexpr std::uint32_t kHorizonBits = kLevels * kLevelBits;  // 36
 
-  // Files a pending entry by its distance from the wheel cursor: the level
-  // is the highest base-64 digit in which the event time differs from the
-  // cursor (the XOR trick from kernel timer wheels). O(1); bucket vectors
-  // stay unsorted until the cursor reaches them.
-  void place(const WheelEntry& e) {
-    const std::uint64_t t = static_cast<std::uint64_t>(key_time(e.key));
-    const std::uint64_t w = static_cast<std::uint64_t>(wtime_);
-    if ((t >> kL0Shift) <= (w >> kL0Shift)) {
-      // At or before the active bucket (e.g. scheduling at the current
-      // time): merge into its sorted, partially consumed remainder.
-      insert_active(e);
-      return;
+  // Pending lists by index: the active (time-ordered, popping) list, then the
+  // wheel buckets level by level, then the overflow list.
+  static constexpr std::uint32_t kActive = 0;
+  static constexpr std::uint32_t kBuckets = kLevels * kWheelSlots;
+  static constexpr std::uint32_t kOverflow = 1 + kBuckets;
+
+  struct List {
+    std::uint32_t head = kNullSlot;
+    std::uint32_t tail = kNullSlot;
+  };
+
+  // The list a pending event at time t belongs in, given the cursor: the
+  // active list at or before the cursor's time; otherwise the level of the
+  // highest base-64 digit in which t differs from the cursor. An event's
+  // list stays the same until the cursor reaches its bucket, which is when
+  // advance_cursor() re-files it.
+  std::uint32_t list_for(SimTime t) const {
+    const std::uint64_t u = static_cast<std::uint64_t>(t);
+    const std::uint64_t x = u ^ static_cast<std::uint64_t>(wtime_);
+    if (t <= wtime_) return kActive;
+    if ((x >> kHorizonBits) != 0) return kOverflow;
+    const std::uint32_t level =
+        (static_cast<std::uint32_t>(std::bit_width(x)) - 1) / kLevelBits;
+    return 1 + level * kWheelSlots +
+           static_cast<std::uint32_t>((u >> (level * kLevelBits)) & kWheelMask);
+  }
+
+  static bool is_bucket(std::uint32_t list) { return list - 1 < kBuckets; }
+  std::uint64_t& occ_word(std::uint32_t list) {
+    return occ_[(list - 1) / kWheelSlots];
+  }
+  static std::uint64_t occ_bit(std::uint32_t list) {
+    return 1ull << ((list - 1) % kWheelSlots);
+  }
+
+  void append(std::uint32_t list, std::uint32_t index, Slot& s) {
+    List& l = lists_[list];
+    s.next = kNullSlot;
+    s.prev = l.tail;
+    (l.tail == kNullSlot ? l.head : slot_ref(l.tail).next) = index;
+    l.tail = index;
+    if (is_bucket(list)) occ_word(list) |= occ_bit(list);
+  }
+
+  void unlink(std::uint32_t list, const Slot& s) {
+    List& l = lists_[list];
+    (s.prev == kNullSlot ? l.head : slot_ref(s.prev).next) = s.next;
+    (s.next == kNullSlot ? l.tail : slot_ref(s.next).prev) = s.prev;
+    if (is_bucket(list) && l.head == kNullSlot) {
+      occ_word(list) &= ~occ_bit(list);
     }
-    const std::uint64_t x = t ^ w;
-    if (x < (1ull << kL1Shift)) {
-      ring_append(0, (t >> kL0Shift) & kWheelMask, e);
-    } else if (x < (1ull << kFarShift)) {
-      ring_append(1, (t >> kL1Shift) & kWheelMask, e);
-    } else {
-      far_push(e);
+  }
+
+  // Ordered insert into the active list, after every entry at or before t
+  // (FIFO among ties). Events at the cursor's time go straight to the tail;
+  // only an event behind the cursor (which next_time() may have moved past
+  // the current time) scans back.
+  void insert_active(std::uint32_t index, Slot& s) {
+    List& l = lists_[kActive];
+    std::uint32_t after = l.tail;
+    while (after != kNullSlot && slot_ref(after).t > s.t) {
+      after = slot_ref(after).prev;
     }
+    s.prev = after;
+    s.next = after == kNullSlot ? l.head : slot_ref(after).next;
+    (after == kNullSlot ? l.head : slot_ref(after).next) = index;
+    (s.next == kNullSlot ? l.tail : slot_ref(s.next).prev) = index;
   }
 
-  void ring_append(int level, std::uint64_t bucket, const WheelEntry& e) {
-    // hotlint:allow(hot-growth): buckets reserve kBucketReserve in the ctor
-    rings_[level][bucket].push_back(e);
-    occ_[level] |= 1ull << bucket;
+  // Earliest pending event's slot, or kNullSlot when the queue is empty. The
+  // fast path — a non-empty active list — stays inline.
+  std::uint32_t front() {
+    const std::uint32_t head = lists_[kActive].head;
+    return head != kNullSlot ? head : advance_cursor();
   }
 
-  std::vector<WheelEntry>& active_bucket() {
-    return rings_[0][(static_cast<std::uint64_t>(wtime_) >> kL0Shift) &
-                     kWheelMask];
-  }
-
-  // Ordered insert into the active bucket's unconsumed tail. Rare (only
-  // events landing at or before the cursor's own bucket) and cheap: buckets
-  // hold a handful of entries.
-  void insert_active(const WheelEntry& e) {
-    std::vector<WheelEntry>& v = active_bucket();
-    std::size_t lo = pos_;
-    std::size_t hi = v.size();
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if (v[mid].key < e.key) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    // hotlint:allow(hot-growth): allocates only past the ctor's reservation
-    v.insert(v.begin() + static_cast<std::ptrdiff_t>(lo), e);
-  }
-
-  // Earliest live pending entry (tombstones skipped), or nullptr when the
-  // queue holds no live events. The fast path — a live head in the active
-  // bucket — stays inline; bucket advance/cascade/far drain is out of line.
-  WheelEntry* front_entry() {
-    std::vector<WheelEntry>& v = active_bucket();
-    while (pos_ < v.size()) {
-      WheelEntry& e = v[pos_];
-      if (slot_ref(e.slot).gen == e.gen) return &e;
-      ++pos_;  // cancelled while queued: tombstone
-    }
-    return advance_cursor();
-  }
-
-  WheelEntry* advance_cursor();            // walks buckets/levels/far heap
-  void cascade(std::vector<WheelEntry>& bucket);  // re-files one level down
-
-  // Far-horizon overflow: a 4-ary min-heap in parallel (keys, payload)
-  // arrays. Pops use a branchless min-of-4 tournament over the four
-  // adjacent children; payload packs (slot << 32 | gen).
-  void far_push(const WheelEntry& e) {
-    std::size_t i = far_keys_.size();
-    // hotlint:allow(hot-growth): far_keys_ reserves kFarReserve in the ctor
-    far_keys_.emplace_back();  // hole; filled on the way down
-    // hotlint:allow(hot-growth): far_payload_ reserves kFarReserve in the ctor
-    far_payload_.emplace_back();
-    while (i > 0) {
-      const std::size_t parent = (i - 1) >> 2;
-      if (far_keys_[parent] < e.key) break;
-      far_keys_[i] = far_keys_[parent];
-      far_payload_[i] = far_payload_[parent];
-      i = parent;
-    }
-    far_keys_[i] = e.key;
-    far_payload_[i] =
-        static_cast<std::uint64_t>(e.slot) << 32 | e.gen;
-  }
-  WheelEntry far_pop();
-
-  // Rebuilds the far heap without its tombstones; see cancel() for the
-  // trigger policy. Keeps the (time, seq) pop order bit-identical.
-  void compact_far();
+  std::uint32_t advance_cursor();   // moves the cursor to the next event
+  void refile(std::uint32_t list);  // re-files one list under the cursor
 
   static EventId make_id(std::uint32_t slot, std::uint32_t gen) {
     return (static_cast<EventId>(slot) + 1) << 32 | gen;
@@ -434,9 +400,7 @@ class EventQueue {
   std::uint32_t alloc_slot() {
     if (free_head_ != kNullSlot) {
       const std::uint32_t index = free_head_;
-      Slot& s = slot_ref(index);
-      free_head_ = s.next_free;
-      s.next_free = kNullSlot;
+      free_head_ = slot_ref(index).next;
       return index;
     }
     return alloc_slot_slow();
@@ -444,10 +408,9 @@ class EventQueue {
   std::uint32_t alloc_slot_slow();  // grows the slab by one chunk
 
   void retire_handle(Slot& s) {
-    // Bumping the generation kills every outstanding handle and heap entry
-    // for this slot's previous occupancy. kMaxGen itself is never issued
-    // (the slot is parked in recycle_slot), so a matching generation always
-    // means a live event.
+    // Bumping the generation kills every outstanding handle for this slot's
+    // previous occupancy. kMaxGen itself is never issued (the slot is parked
+    // in recycle_slot), so a matching generation always means a live event.
     INBAND_ASSERT(s.gen < kMaxGen);
     ++s.gen;
   }
@@ -460,19 +423,16 @@ class EventQueue {
       ++retired_slots_;
       return;
     }
-    s.next_free = free_head_;
+    s.next = free_head_;
     free_head_ = index;
   }
 
-  // Pending set (see file comment): three 64-bucket rings over the near
-  // future plus the far-horizon heap. wtime_ is the start of the active
-  // level-0 bucket; pos_ is how much of that (sorted) bucket has popped.
-  std::vector<WheelEntry> rings_[kWheelLevels][kWheelSlots];
-  std::uint64_t occ_[kWheelLevels] = {0, 0};  // nonempty-bucket bitmaps
-  std::vector<Key> far_keys_;
-  std::vector<std::uint64_t> far_payload_;
+  // Pending set (see file comment). wtime_ is the wheel cursor: exactly the
+  // events at or before it are in the active list. occ_ holds one
+  // nonempty-bucket bitmap per level.
+  List lists_[kOverflow + 1];
+  std::uint64_t occ_[kLevels] = {};
   SimTime wtime_ = 0;
-  std::size_t pos_ = 0;
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t slot_count_ = 0;     // slots ever handed out (chunk frontier)
@@ -482,7 +442,6 @@ class EventQueue {
   // an audit running inside the callback must expect one extra occupant.
   std::uint32_t firing_slot_ = kNullSlot;
   std::uint64_t retired_slots_ = 0;  // permanently parked by the gen guard
-  std::uint64_t far_cancels_ = 0;    // cancels since the last far compaction
   std::uint64_t next_seq_ = 1;       // monotonic push counter (never reused)
   std::size_t live_ = 0;
   SimTime last_popped_ = kNoTime;

@@ -11,7 +11,9 @@
 
 #include <execinfo.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 #include "core/inband_lb_policy.h"
 #include "core/server_latency_tracker.h"
@@ -50,10 +52,8 @@ TEST(AllocFree, EventQueueSteadyStatePushPop) {
     q.push(at, FakeDelivery{{}, &fired});
   };
   for (int i = 0; i < 128; ++i) push_one(t + i);
-  // Warm-up: lets the pool, every wheel bucket, and the far heap reach
-  // their capacity high-water marks. A ring bucket is first touched when
-  // the cursor first enters its time range, so the warm-up must cover a
-  // full level-1 ring cycle (2^18 ticks at one tick per event).
+  // Warm-up: lets the slab reach its high-water mark, with the cursor
+  // through a full level-1 cycle (2^18 ticks at one tick per event).
   for (int i = 0; i < 300000; ++i) {
     t = q.fire_next([](SimTime) {});
     push_one(t + 128);
@@ -85,12 +85,68 @@ TEST(AllocFree, EventQueueCancelRecycle) {
     q.push(t + 10, FakeDelivery{{}, &fired});
     t = q.fire_next([](SimTime) {});
   };
-  // Warm-up covers two full level-1 ring cycles (time advances ~10 ticks
-  // per cycle) so every bucket has seen its worst-case load once.
+  // Warm-up covers two full level-1 cycles (time advances ~10 ticks per
+  // cycle), so the timeouts have crossed level-2 boundaries in bulk.
   for (int i = 0; i < 60000; ++i) cycle();
   const auto before = allocs::snapshot();
   for (int i = 0; i < 100000; ++i) cycle();
   EXPECT_EQ(allocs::delta(before, allocs::snapshot()).count, 0u);
+}
+
+TEST(AllocFree, EventQueueTimersOnEveryLevelAndOneCrowdedBucket) {
+  // Buckets are intrusive lists through the event slots, so neither a
+  // bucket first reached late in a run nor one holding a thousand events
+  // grows anything: once the slab has reached the peak live count, timers
+  // filed on every wheel level (and beyond the 2^36-tick horizon), their
+  // cascades, and a crowded bucket's activation allocate nothing.
+  SKIP_UNLESS_COUNTING();
+  EventQueue q;
+  constexpr SimTime kPeriods[] = {us(100), ms(5), ms(50), sec(2), sec(70)};
+  constexpr std::size_t kKinds = std::size(kPeriods);
+  std::uint64_t fired[kKinds + 1] = {};  // per timer period, then the crowd
+  struct Timer {  // re-arms itself every period
+    EventQueue* q;
+    SimTime period;
+    std::uint64_t* fired;
+    void operator()() {
+      ++*fired;
+      q->push(q->last_popped() + period, *this);
+    }
+  };
+  // Once a second, 1000 events at one time: one bucket on every level they
+  // pass through.
+  struct Crowd {
+    EventQueue* q;
+    std::uint64_t* fired;
+    void operator()() {
+      for (int k = 0; k < 1000; ++k) {
+        q->push(q->last_popped() + ms(1), FakeDelivery{{}, fired});
+      }
+      q->push(q->last_popped() + sec(1), *this);
+    }
+  };
+  static_assert(EventCallback::fits_inline<Timer>());
+  static_assert(EventCallback::fits_inline<Crowd>());
+  for (std::size_t kind = 0; kind < kKinds; ++kind) {
+    for (SimTime phase = 1; phase <= 4; ++phase) {
+      q.push(kPeriods[kind] * phase / 4,
+             Timer{&q, kPeriods[kind], &fired[kind]});
+    }
+  }
+  q.push(ms(7), Crowd{&q, &fired[kKinds]});
+  const auto run_to = [&](SimTime end) {
+    while (q.last_popped() < end) q.fire_next([](SimTime) {});
+  };
+  run_to(sec(80));  // past one period of the slowest timer
+  std::uint64_t before_fired[kKinds + 1];
+  std::copy(std::begin(fired), std::end(fired), before_fired);
+  const auto before = allocs::snapshot();
+  run_to(sec(160));
+  const auto delta = allocs::delta(before, allocs::snapshot());
+  EXPECT_EQ(delta.count, 0u) << delta.bytes << " bytes allocated";
+  for (std::size_t kind = 0; kind <= kKinds; ++kind) {
+    EXPECT_GT(fired[kind], before_fired[kind]) << "kind " << kind;
+  }
 }
 
 TEST(AllocFree, SimulatorSelfReschedulingChain) {

@@ -7,6 +7,7 @@
 #include <set>
 #include <tuple>
 
+#include "check/state_digest.h"
 #include "core/inband_lb_policy.h"
 #include "lb/load_balancer.h"
 #include "lb/policies.h"
@@ -157,6 +158,40 @@ TEST(Maglev, SingleBackendOwnsAll) {
   t.build(make_pool(1));
   EXPECT_EQ(t.slots_owned(0), 251u);
   EXPECT_EQ(t.shift_slots(0, 0.5), 0u);  // nowhere to shift to
+}
+
+TEST(Maglev, TablePinnedAcrossSizesAndWeights) {
+  // build() walks each backend's permutation (offset + k * skip) mod M.
+  // These digests of the full slot assignment were taken from the
+  // modulo-per-probe form; any other walk of the same permutation must
+  // reproduce them.
+  BackendPool weighted = make_pool(3);
+  weighted[0].weight = 1;
+  weighted[1].weight = 3;
+  weighted[2].weight = 7;
+  const BackendPool pools[] = {make_pool(2), make_pool(16), weighted};
+  struct Pin {
+    std::uint64_t size;
+    std::uint64_t digest[3];  // two equal, sixteen equal, weights 1:3:7
+  };
+  constexpr Pin kPins[] = {
+      {7, {0xf78ae5097f0e7da4ULL, 0x0ec27fa9b071c1ccULL, 0x7331daa7c0cfcea4ULL}},
+      {4099,
+       {0x6e1be3dd57875500ULL, 0x80f4a548b02ff36cULL, 0x402b99abec8328e0ULL}},
+      {65537,
+       {0x0c8ebacb03534532ULL, 0x9133c535ea151bdcULL, 0x7628188c6e9b4471ULL}},
+  };
+  for (const Pin& pin : kPins) {
+    for (std::size_t p = 0; p < 3; ++p) {
+      MaglevTable t{pin.size};
+      t.build(pools[p]);
+      StateDigest d;
+      t.digest_state(d);
+      EXPECT_EQ(d.value(), pin.digest[p])
+          << "size " << pin.size << " pool " << p << " got 0x" << std::hex
+          << d.value();
+    }
+  }
 }
 
 TEST(Maglev, SlotCountsMatchRescanUnderRandomOps) {

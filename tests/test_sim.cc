@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <array>
+#include <set>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "check/invariant_auditor.h"
 #include "check/reference_models.h"
 #include "check/state_digest.h"
 #include "sim/event_queue.h"
@@ -284,7 +287,7 @@ TEST(EventCallback, DestroysCaptureExactlyOnce) {
   EXPECT_EQ(cbtrack::live, 0);
 }
 
-// --- event pool: recycling, lazy deletion, generation guard ---
+// --- event pool: recycling, cancellation, generation guard ---
 
 TEST(EventQueue, PendingCallbacksDestroyedWithQueue) {
   cbtrack::reset_counters();
@@ -424,6 +427,136 @@ TEST(EventQueue, MatchesLegacyQueueOnRandomOps) {
   EXPECT_EQ(dn.value(), dl.value());
 }
 
+// Random ops over the whole wheel: delays log-uniform over 0..2^40 ticks
+// (every level plus the overflow list beyond 2^36), same-tick ties with a
+// pending event, pushes at the current time, and pushes and cancels issued
+// from inside firing callbacks. Every pop is checked against a sorted
+// (time, push order) reference; the run's pop sequence, cancel results and
+// digest are returned for the differential against LegacyEventQueue.
+struct WideOpsRun {
+  std::vector<std::pair<SimTime, int>> fired;  // (time, push tag)
+  std::vector<bool> cancels;
+  std::uint64_t digest = 0;
+};
+
+template <typename Queue>
+SimTime pop_and_run(Queue& q) {
+  if constexpr (std::is_same_v<Queue, EventQueue>) {
+    return q.fire_next([](SimTime) {});
+  } else {
+    auto popped = q.pop();
+    popped.fn();
+    return popped.t;
+  }
+}
+
+template <typename Queue>
+WideOpsRun run_wide_ops(std::uint64_t seed, int steps) {
+  struct Harness {
+    explicit Harness(std::uint64_t seed) : rng{seed} {}
+    Rng rng;
+    Queue q;
+    std::set<std::pair<SimTime, int>> pending;  // the sorted reference
+    std::vector<std::pair<EventId, std::pair<SimTime, int>>> open;
+    SimTime now = 0;
+    int next_tag = 0;
+    WideOpsRun out;
+
+    void push_at(SimTime t) {
+      const int tag = next_tag++;
+      const EventId id = q.push(t, [this, tag] { fired(tag); });
+      pending.emplace(t, tag);
+      open.emplace_back(id, std::make_pair(t, tag));
+    }
+    void push_random() {
+      const std::uint64_t kind = rng.uniform_u64(0, 9);
+      if (kind == 0 && !open.empty()) {  // same tick as a pending event
+        const std::size_t pick = rng.uniform_u64(0, open.size() - 1);
+        if (pending.count(open[pick].second) != 0) {
+          push_at(open[pick].second.first);
+          return;
+        }
+      }
+      if (kind == 1) {
+        push_at(now);
+        return;
+      }
+      const std::uint64_t bits = rng.uniform_u64(0, 40);
+      const std::uint64_t delay =
+          bits == 0 ? 0 : rng.uniform_u64(0, (std::uint64_t{1} << bits) - 1);
+      push_at(now + static_cast<SimTime>(delay));
+    }
+    void cancel_random() {
+      if (open.empty()) return;
+      const std::size_t pick = rng.uniform_u64(0, open.size() - 1);
+      const bool expected = pending.erase(open[pick].second) != 0;
+      const bool got = q.cancel(open[pick].first);
+      EXPECT_EQ(got, expected) << "tag " << open[pick].second.second;
+      out.cancels.push_back(got);
+      open[pick] = open.back();
+      open.pop_back();
+    }
+    void fired(int tag) {
+      ASSERT_FALSE(pending.empty());
+      const auto head = *pending.begin();
+      EXPECT_EQ(head.second, tag) << "popped out of (time, push) order";
+      EXPECT_EQ(head.first, now);
+      pending.erase(pending.begin());
+      out.fired.push_back(head);
+      // Callbacks push and cancel too, as TCP's timers do.
+      const std::uint64_t act = rng.uniform_u64(0, 9);
+      if (act < 2) push_at(now);
+      if (act >= 2 && act < 4) push_random();
+      if (act >= 4 && act < 6) cancel_random();
+    }
+  };
+  Harness h{seed};
+  InvariantAuditor auditor{AuditFailMode::kCollect};
+  if constexpr (std::is_same_v<Queue, EventQueue>) {
+    auditor.register_hook("q", [&](AuditScope& s) { h.q.audit_invariants(s); });
+  }
+  for (int step = 0; step < steps; ++step) {
+    if (step % 128 == 0) {
+      EXPECT_EQ(auditor.run_all(h.now), 0u) << "step " << step;
+    }
+    const std::uint64_t roll = h.rng.uniform_u64(0, 99);
+    if (roll < 45) {
+      h.push_random();
+    } else if (roll < 65) {
+      h.cancel_random();
+    } else if (!h.q.empty()) {
+      const SimTime next = h.q.next_time();
+      EXPECT_EQ(next, h.pending.begin()->first);
+      h.now = next;
+      EXPECT_EQ(pop_and_run(h.q), next);
+    }
+    EXPECT_EQ(h.q.size(), h.pending.size());
+  }
+  while (!h.q.empty()) {
+    h.now = h.q.next_time();
+    pop_and_run(h.q);
+  }
+  EXPECT_TRUE(h.pending.empty());
+  StateDigest d;
+  h.q.digest_state(d);
+  h.out.digest = d.value();
+  return std::move(h.out);
+}
+
+TEST(EventQueue, WideHorizonRandomOpsMatchSortedReferenceAndLegacy) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    const WideOpsRun neu = run_wide_ops<EventQueue>(seed, 20000);
+    const WideOpsRun old = run_wide_ops<LegacyEventQueue>(seed, 20000);
+    EXPECT_GT(neu.fired.size(), 10000u) << "seed " << seed;
+    EXPECT_EQ(neu.fired, old.fired) << "seed " << seed;
+    EXPECT_EQ(neu.cancels, old.cancels) << "seed " << seed;
+    EXPECT_EQ(neu.digest, old.digest) << "seed " << seed;
+    // The delays must reach the overflow list (beyond 2^36 ticks).
+    const SimTime last = neu.fired.empty() ? 0 : neu.fired.back().first;
+    EXPECT_GT(last, SimTime{1} << 37) << "seed " << seed;
+  }
+}
+
 }  // namespace
 
 // Friend peer for reaching into the pool's generation bookkeeping; the
@@ -441,10 +574,12 @@ struct EventQueueTestPeer {
   static std::uint64_t retired_slots(const EventQueue& q) {
     return q.retired_slots_;
   }
-  static std::size_t far_heap_size(const EventQueue& q) {
-    return q.far_keys_.size();
+  static std::uint32_t slot_count(const EventQueue& q) {
+    return q.slot_count_;
   }
-  static std::size_t far_reserve() { return EventQueue::kFarReserve; }
+  static constexpr std::uint32_t slots_per_chunk() {
+    return EventQueue::kSlotsPerChunk;
+  }
 };
 
 namespace {
@@ -467,33 +602,35 @@ TEST(EventQueue, GenerationWraparoundRetiresSlot) {
   EXPECT_TRUE(q.cancel(next));
 }
 
-// Regression: a cancelled event resident in the far heap used to stay behind
-// as a tombstone until its 2^18-tick window rotated in, so a cancel-heavy
-// far-timer workload (schedule a batch of far-future timeouts, cancel nearly
-// all of them, repeat) retained heap entries unboundedly — before the
-// compaction in EventQueue::cancel(), the occupancy below ends each round
-// near 8 + 1024 * rounds instead of staying flat.
-TEST(EventQueue, FarHeapCompactsTombstonesUnderCancelHeavyCancels) {
+// Regression: a cancelled event far beyond the cursor used to stay behind as
+// a tombstone in a far-horizon heap until its window rotated in, so a
+// cancel-heavy far-timer workload (schedule a batch of far-future timeouts,
+// cancel nearly all of them, repeat) retained entries unboundedly until a
+// compaction pass was added. Cancel now unlinks the event and frees its slot
+// at once: each round's timeouts reuse the previous round's slots, so the
+// slab stays within one chunk of the peak live count, and the survivors pop
+// in order.
+TEST(EventQueue, FarTimerCancelRoundsKeepSlabFlat) {
   EventQueue q;
-  constexpr SimTime kFar = SimTime{1} << 20;  // beyond the 2^18 horizon
+  constexpr SimTime kFar = SimTime{1} << 20;  // past the old heap's horizon
   std::vector<EventId> keep;
   for (SimTime i = 0; i < 8; ++i) keep.push_back(q.push(kFar + i, [] {}));
-  std::size_t high_water = 0;
+  std::size_t peak_live = 0;
+  std::uint32_t after_first_round = 0;
   for (int round = 0; round < 64; ++round) {
     std::vector<EventId> ids;
     for (int i = 0; i < 1024; ++i) {
       ids.push_back(q.push(kFar + 1000 + round * 1024 + i, [] {}));
     }
+    peak_live = std::max(peak_live, q.size());
     for (EventId id : ids) ASSERT_TRUE(q.cancel(id));
-    // Measured after each round's cancels: tombstones left since the last
-    // compaction are bounded, so occupancy must not accumulate across rounds.
-    high_water =
-        std::max(high_water, EventQueueTestPeer::far_heap_size(q));
+    if (round == 0) after_first_round = EventQueueTestPeer::slot_count(q);
+    EXPECT_EQ(EventQueueTestPeer::slot_count(q), after_first_round)
+        << "round " << round;
   }
   EXPECT_EQ(q.size(), keep.size());
-  EXPECT_LE(high_water,
-            2 * q.size() + 2 * EventQueueTestPeer::far_reserve());
-  // Compaction preserves the (time, seq) pop order of the survivors.
+  EXPECT_LE(EventQueueTestPeer::slot_count(q),
+            peak_live + EventQueueTestPeer::slots_per_chunk());
   for (std::size_t i = 0; i < keep.size(); ++i) {
     EXPECT_EQ(q.fire_next([](SimTime) {}), kFar + static_cast<SimTime>(i));
   }
